@@ -350,8 +350,13 @@ int main(int argc, char** argv) {
       std::uniform_real_distribution<float> dist(-1000.f, 1000.f);
       for (float& v : shard_data) v = dist(rng);
     }
+    // Scaling is gated for one fixed per-shard algorithm, AIR Top-K: kAuto
+    // picks per shape, and a faster 1-shard pick (GridSelect here) shrinks
+    // the ratio the fixed PCIe/merge floor allows without any change in the
+    // coordinator being measured.
     topk::shard::ShardConfig scfg;
     scfg.devices = 4;
+    scfg.algo = topk::Algo::kAirTopk;
     topk::shard::Coordinator coord(scfg);
     for (const std::size_t s : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
       const topk::shard::ShardedResult r =

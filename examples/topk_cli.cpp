@@ -21,15 +21,16 @@
 // 1.0 the recommender may route the bucketed approximate tier, and the
 // result is then scored by measured recall against the exact reference
 // instead of the exactness verifier.  `--explain` prints the recommender's
-// per-candidate modeled costs (and, with a sub-1.0 SLO, the approximate
-// tier's chunk shape and analytic expected recall) before running.
+// race — each candidate row's predicted µs on the device, the winner marked
+// (and, with a sub-1.0 SLO, the approximate tier's chunk shape and analytic
+// expected recall) — before running.
 //
 // `--dtype {f32,f16,bf16,i32,u32}` runs the query with typed keys (the
 // generated floats are converted; i32/u32 scale them into the integer
 // domain) through the typed select path, verifying against an exact host
 // reference in the key's own ordinal domain.  `--explain` then shows the
-// recommender race filtered by dtype: candidates whose registry row lacks
-// the key type are listed as filtered instead of priced.  `--payload`
+// recommender race filtered by dtype: only rows that declare the key type
+// are planned and priced.  `--payload`
 // attaches a u32 payload (the key's global position) and checks the
 // winners' entries ride along.
 
@@ -187,8 +188,9 @@ int main(int argc, char** argv) {
   // Resolve "auto" through the dispatch planner first so the max_k check
   // (and the banner) name the algorithm that actually runs.
   const bool was_auto = *algo == topk::Algo::kAuto;
-  const topk::Algo chosen =
-      topk::resolve_algo(*algo, n, k, batch, recall_target, dtype);
+  simgpu::Device dev;
+  const topk::Algo chosen = topk::resolve_algo(dev.spec(), *algo, n, k, batch,
+                                               recall_target, dtype);
   if (was_auto) {
     std::cout << "auto -> " << topk::algo_name(chosen)
               << " (recommended for n=2^" << log_n << " k=" << k
@@ -205,51 +207,37 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (explain) {
-    // Per-candidate modeled costs the recommender's race saw, cheapest
-    // first, with the winner marked; candidates the dtype filter removed
-    // are listed unpriced so the race's shape is visible.
-    struct Row {
-      topk::Algo algo;
-      double us;
-    };
-    std::vector<Row> rows;
-    std::vector<topk::Algo> cands(topk::all_algorithms().begin(),
-                                  topk::all_algorithms().end());
-    cands.push_back(topk::Algo::kStreamRadix);
-    std::vector<topk::Algo> filtered;
-    for (const topk::Algo cand : cands) {
-      if (k > topk::max_k(cand, n)) continue;
-      if (!topk::algo_supports_dtype(cand, dtype)) {
-        filtered.push_back(cand);
-        continue;
-      }
-      rows.push_back(
-          {cand, topk::estimated_batch_cost_us(cand, batch, n, k,
-                                               recall_target)});
-    }
-    std::sort(rows.begin(), rows.end(),
-              [](const Row& a, const Row& b) { return a.us < b.us; });
-    std::cout << "modeled per-candidate costs (batch=" << batch
+    // The recommender's race as it ran: every candidate row that accepted
+    // the shape and dtype with its predicted µs, cheapest first, the winner
+    // marked.
+    topk::WorkloadHints hints;
+    hints.batch = batch;
+    hints.recall_target = recall_target;
+    hints.dtype = dtype;
+    std::vector<topk::PricedAlgo> race =
+        topk::price_candidates(dev.spec(), n, k, hints);
+    std::sort(race.begin(), race.end(),
+              [](const topk::PricedAlgo& a, const topk::PricedAlgo& b) {
+                return a.predicted_us < b.predicted_us;
+              });
+    std::cout << "predicted per-candidate costs on " << dev.spec().name
+              << " (batch=" << batch
               << " dtype=" << topk::key_type_name(dtype) << "):\n";
-    for (const Row& r : rows) {
+    for (const topk::PricedAlgo& r : race) {
       std::cout << "  " << (r.algo == chosen ? "-> " : "   ")
-                << topk::algo_name(r.algo) << ": " << r.us << " us";
+                << topk::algo_name(r.algo) << ": " << r.predicted_us << " us";
       if (r.algo == topk::Algo::kBucketApprox) {
         topk::BucketApproxOptions bopt;
         bopt.recall_target = recall_target;
         const auto shape =
-            topk::bucket_approx_configure(n, k, batch, bopt,
-                                          simgpu::DeviceSpec{});
+            topk::bucket_approx_configure(n, k, batch, bopt, dev.spec());
         std::cout << "  (chunks=" << shape.chunks << " keep=" << shape.keep
-                  << " expected recall=" << shape.expected_recall
-                  << (recall_target >= 1.0 ? ", exact" : "") << ")";
+                  << " expected recall=" << shape.expected_recall << ")";
       }
       std::cout << "\n";
     }
-    for (const topk::Algo f : filtered) {
-      std::cout << "   " << topk::algo_name(f) << ": filtered (no "
-                << topk::key_type_name(dtype) << " support)\n";
-    }
+    std::cout << "  (AIR Top-K and RadixSelect race at +10%: radix-adversarial "
+                 "keys cost them up to 2x the prediction)\n";
   }
   if (k > topk::max_k(chosen, n)) {
     std::cerr << "k=" << k << " unsupported by "
@@ -259,7 +247,6 @@ int main(int argc, char** argv) {
   }
 
   const auto values = topk::data::generate(dist, batch * n, 0xC11);
-  simgpu::Device dev;
   topk::SelectOptions opt;
   opt.recall_target = recall_target;
 

@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <cstdlib>
-#include <limits>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -88,101 +87,31 @@ std::size_t max_k(Algo algo, std::size_t n) {
   return std::min(n, row->k_limit);
 }
 
-double estimated_batch_cost_us(Algo algo, std::size_t batch, std::size_t n,
-                               std::size_t k, double recall_target) {
-  // Default DeviceSpec constants (A100 class): launch overhead 2.5us plus a
-  // 3us minimum kernel duration, 10us per host round-trip, 1555 GB/s at 92%
-  // efficiency, 108 SMs * 64 lanes * 1.41 GHz, saturation at 864 warps.
-  constexpr double kLaunchUs = 5.5;
-  constexpr double kHostSyncUs = 10.0;
-  constexpr double kBytesPerUs = 1.43e6;
-  constexpr double kLaneOpsPerUs = 9.75e6;
-  constexpr double kSaturatingWarps = 864.0;
-  const double rows = static_cast<double>(batch);
-  const double nn = static_cast<double>(n);
-  const double kk = static_cast<double>(k);
-  // One memory-bound pass over the batch's keys — every candidate reads the
-  // input at least once.
-  const double sweep_us = rows * nn * 4.0 / kBytesPerUs;
-  // Lane-op term: the busier the grid, the more of the device's lane
-  // throughput the launch can actually use.
-  const auto compute_us = [&](double warps, double lane_ops) {
-    const double occupancy =
-        std::max(std::min(warps, kSaturatingWarps) / kSaturatingWarps,
-                 1.0 / kSaturatingWarps);
-    return lane_ops / (kLaneOpsPerUs * occupancy);
-  };
-  switch (algo) {
-    case Algo::kFusedWarpRowwise:
-      // One launch, one warp per row; per-key cost creeps up with k as the
-      // thread queues deepen.
-      return kLaunchUs + sweep_us +
-             compute_us(rows, rows * nn * (1.0 + kk / 1024.0));
-    case Algo::kFusedBlockRowwise: {
-      // Scan launch (8 warps/row, private queues) plus a merge launch over
-      // the 8 per-warp partial lists of `cap >= k` entries each.
-      const double warps_per_row = 8.0;
-      const double merge_ops = rows * warps_per_row * kk * 8.0;
-      return 2.0 * kLaunchUs + sweep_us +
-             compute_us(rows * warps_per_row, rows * nn + merge_ops);
-    }
-    case Algo::kGridSelect: {
-      // make_grid: blocks/problem grows with n but is capped so batch*bpp
-      // stays bounded; a second (merge) launch appears once bpp > 1.  The
-      // 1.2 per-key factor is the shared-queue insertion traffic.
-      const double bpp_cap = std::max(1.0, 4096.0 / rows);
-      const double bpp =
-          std::clamp(std::min(std::ceil(nn / 16384.0), 216.0), 1.0, bpp_cap);
-      const double launches = bpp > 1.0 ? 2.0 : 1.0;
-      return launches * kLaunchUs + sweep_us +
-             compute_us(rows * bpp * 8.0, rows * nn * 1.2);
-    }
-    case Algo::kRadixSelect:
-      // Host-serial row loop: every row pays its own launches AND a host
-      // round-trip per digit pass — the batch term the recommender needs.
-      return rows * 3.0 * (kLaunchUs + kHostSyncUs) + 3.0 * sweep_us;
-    case Algo::kBucketApprox: {
-      // One saturating single-sweep scan (batch*C blocks of W warps) plus,
-      // unless the candidate union already has output shape, a minimum-
-      // duration refine kernel over the C*q candidates.  The shape is the
-      // one the planner would pick for this recall target, so the race
-      // prices what would actually run.
-      BucketApproxOptions o;
-      o.recall_target = recall_target;
-      const BucketApproxShape s =
-          bucket_approx_configure(n, k, batch, o, simgpu::DeviceSpec{});
-      const double cand =
-          rows * static_cast<double>(s.chunks) * static_cast<double>(s.keep);
-      const bool direct = s.chunks * s.keep == k;
-      const double launches = direct ? 1.0 : 2.0;
-      // Refine traffic: candidate pairs written by the scan then re-read.
-      const double cand_bytes = direct ? 0.0 : 2.0 * cand * 12.0;
-      const double scan_warps = rows * static_cast<double>(s.chunks) *
-                                static_cast<double>(s.warps);
-      return launches * kLaunchUs + sweep_us + cand_bytes / kBytesPerUs +
-             compute_us(scan_warps,
-                        rows * nn *
-                            (1.0 + static_cast<double>(s.keep) / 1024.0));
-    }
-    case Algo::kStreamRadix: {
-      // Host-serial chunk loop: every chunk pays RadixSelect's per-pass
-      // launch + host round-trip structure, and the chunk count grows with
-      // n (bounded-scratch is what the tier buys, not launch economy).
-      const double chunks = std::max(
-          1.0, std::min(std::ceil(nn / 4194304.0), std::max(1.0, nn / kk)));
-      return rows * chunks * 3.0 * (kLaunchUs + kHostSyncUs) + 3.5 * sweep_us;
-    }
-    case Algo::kAirTopk:
-    default:
-      // Multi-launch grid-wide pipelines: a few launches, a bit more than
-      // one sweep of memory traffic, saturating grids.
-      return 3.0 * kLaunchUs + 1.25 * sweep_us +
-             compute_us(kSaturatingWarps, rows * nn * 1.5);
-  }
-}
+namespace {
 
-Algo recommend_algorithm(std::size_t n, std::size_t k,
-                         const WorkloadHints& hints) {
+/// Rows the kAuto race plans, in tie-break order.  Over a 108-shape probe
+/// (A100/H100/A10 x uniform/adversarial x batch {1, 100} x n {2^12, 2^16,
+/// 2^20} x k {16, 256, 2048}) the best exact row was always one of the
+/// first five; RadixSelect stays in the race as the host-serial baseline.
+constexpr std::array<Algo, 6> kAutoCandidates = {
+    Algo::kFusedWarpRowwise, Algo::kFusedBlockRowwise, Algo::kGridSelect,
+    Algo::kBlockSelect,      Algo::kAirTopk,           Algo::kRadixSelect};
+
+/// Rows whose traffic depends on the key bits: predict_us prices their
+/// survivor counts at the uniform expected case, which radix-adversarial
+/// keys (every key sharing its leading bits) exceed by up to one extra
+/// input sweep per pass.  The race hedges toward the rows whose charges are
+/// independent of key bits: a radix row's prediction is scored
+/// (1 + kRadixHedge) times higher, so it wins only by a clear margin.
+bool radix_family(Algo algo) {
+  return algo == Algo::kAirTopk || algo == Algo::kRadixSelect;
+}
+constexpr double kRadixHedge = 0.10;
+
+
+/// Validated race shape: the per-shard row length for sharded hints.
+std::size_t race_row_length(std::size_t n, std::size_t k,
+                            const WorkloadHints& hints) {
   // A sharded query is recommended at the shape one device actually sees:
   // the per-shard row length.  The shard coordinator runs the same concrete
   // algorithm on every shard, so this is the choice that matters.
@@ -204,64 +133,94 @@ Algo recommend_algorithm(std::size_t n, std::size_t k,
         << hints.recall_target;
     throw std::invalid_argument(err.str());
   }
-  if (hints.on_the_fly) {
-    if (k > max_k(Algo::kGridSelect, n)) {
-      throw std::invalid_argument(
-          "recommend_algorithm: on-the-fly selection supports k <= 2048");
+  if (hints.on_the_fly && k > max_k(Algo::kGridSelect, n)) {
+    throw std::invalid_argument(
+        "recommend_algorithm: on-the-fly selection supports k <= 2048");
+  }
+  return n;
+}
+
+}  // namespace
+
+double predict_us(const ExecutionPlan& plan, const simgpu::DeviceSpec& spec) {
+  if (!plan.schedule().priced) {
+    throw std::invalid_argument("predict_us: " + algo_name(plan.algo()) +
+                                " plans record no expected costs");
+  }
+  return simgpu::CostModel(spec).expected_us(plan.schedule());
+}
+
+std::vector<PricedAlgo> price_candidates(const simgpu::DeviceSpec& spec,
+                                         std::size_t n, std::size_t k,
+                                         const WorkloadHints& hints) {
+  n = race_row_length(n, k, hints);
+  std::vector<PricedAlgo> race;
+  if (hints.on_the_fly) return race;
+  SelectOptions opt;
+  opt.dtype = hints.dtype;
+  opt.recall_target = hints.recall_target;
+  const auto enter = [&](Algo cand) {
+    if (k > max_k(cand, n) || !algo_supports_dtype(cand, hints.dtype)) return;
+    try {
+      const ExecutionPlan plan =
+          plan_select(spec, hints.batch, n, k, cand, opt);
+      race.push_back({cand, predict_us(plan, spec)});
+    } catch (const std::invalid_argument&) {
+      // The row rejects this shape on this device (shared memory, single-
+      // select capacity): it is not a candidate.
     }
+  };
+  for (Algo cand : kAutoCandidates) enter(cand);
+  // At recall_target = 1.0 the approximate tier never races, so the
+  // recommendation is provably exact.
+  if (hints.recall_target < 1.0) enter(Algo::kBucketApprox);
+  return race;
+}
+
+Algo recommend_algorithm(const simgpu::DeviceSpec& spec, std::size_t n,
+                         std::size_t k, const WorkloadHints& hints) {
+  if (hints.on_the_fly) {
+    (void)race_row_length(n, k, hints);
     // The approximate tier buffers whole chunks, so a streaming producer
     // cannot feed it; the recall hint cannot override the streaming need.
     return Algo::kGridSelect;
   }
-  // The exact pick first; a sub-1.0 recall SLO then races the approximate
-  // tier against it at modeled cost.  At recall_target = 1.0 the race is
-  // skipped outright, so the recommendation is provably exact.
-  const auto race_approx = [&](Algo exact) {
-    if (hints.recall_target >= 1.0 || k > max_k(Algo::kBucketApprox, n) ||
-        !algo_supports_dtype(Algo::kBucketApprox, hints.dtype)) {
-      return exact;
-    }
-    const double approx_cost = estimated_batch_cost_us(
-        Algo::kBucketApprox, hints.batch, n, k, hints.recall_target);
-    const double exact_cost =
-        estimated_batch_cost_us(exact, hints.batch, n, k);
-    return approx_cost < exact_cost ? Algo::kBucketApprox : exact;
+  const std::vector<PricedAlgo> race = price_candidates(spec, n, k, hints);
+  if (race.empty()) {
+    // Nothing fits one device: plan_select on AIR reports the capacity
+    // error that points at the sharded path.
+    return Algo::kAirTopk;
+  }
+  const auto score = [](const PricedAlgo& c) {
+    return c.predicted_us * (radix_family(c.algo) ? 1.0 + kRadixHedge : 1.0);
   };
-  if (hints.batch >= 64) {
-    // Serving-shaped micro-batch: rank the batch-capable candidates by
-    // modeled cost.  Listed order breaks ties toward the fused family, and
-    // RadixSelect's host-serial row loop prices it out of contention as
-    // rows grow — which is exactly why it is in the list.
-    constexpr std::array<Algo, 5> kCandidates = {
-        Algo::kFusedWarpRowwise, Algo::kFusedBlockRowwise, Algo::kGridSelect,
-        Algo::kAirTopk, Algo::kRadixSelect};
-    Algo best = Algo::kAirTopk;
-    double best_cost = std::numeric_limits<double>::infinity();
-    for (Algo cand : kCandidates) {
-      if (k > max_k(cand, n)) continue;
-      if (!algo_supports_dtype(cand, hints.dtype)) continue;
-      const double cost = estimated_batch_cost_us(cand, hints.batch, n, k);
-      if (cost < best_cost) {
-        best = cand;
-        best_cost = cost;
-      }
-    }
-    return race_approx(best);
-  }
-  if (k < 256 && k <= max_k(Algo::kGridSelect, n)) {
-    return race_approx(Algo::kGridSelect);
-  }
-  return race_approx(Algo::kAirTopk);
+  return std::min_element(race.begin(), race.end(),
+                          [&](const PricedAlgo& a, const PricedAlgo& b) {
+                            return score(a) < score(b);
+                          })
+      ->algo;
 }
 
-Algo resolve_algo(Algo algo, std::size_t n, std::size_t k,
-                  std::size_t batch, double recall_target, KeyType dtype) {
+Algo recommend_algorithm(std::size_t n, std::size_t k,
+                         const WorkloadHints& hints) {
+  return recommend_algorithm(simgpu::DeviceSpec{}, n, k, hints);
+}
+
+Algo resolve_algo(const simgpu::DeviceSpec& spec, Algo algo, std::size_t n,
+                  std::size_t k, std::size_t batch, double recall_target,
+                  KeyType dtype) {
   if (algo != Algo::kAuto) return algo;
   WorkloadHints hints;
   hints.batch = batch;
   hints.recall_target = recall_target;
   hints.dtype = dtype;
-  return recommend_algorithm(n, k, hints);
+  return recommend_algorithm(spec, n, k, hints);
+}
+
+Algo resolve_algo(Algo algo, std::size_t n, std::size_t k, std::size_t batch,
+                  double recall_target, KeyType dtype) {
+  return resolve_algo(simgpu::DeviceSpec{}, algo, n, k, batch, recall_target,
+                      dtype);
 }
 
 void sort_result_best_first(SelectResult& r, bool greatest,
@@ -356,7 +315,7 @@ ExecutionPlan plan_select(const simgpu::DeviceSpec& spec, std::size_t batch,
         << " (2^20), the system-wide K ceiling";
     throw std::invalid_argument(err.str());
   }
-  algo = resolve_algo(algo, n, k, batch, opt.recall_target, opt.dtype);
+  algo = resolve_algo(spec, algo, n, k, batch, opt.recall_target, opt.dtype);
   const AlgoRow* row = find_algo_row(algo);
   if (row == nullptr || row->plan == nullptr) {
     throw std::invalid_argument("plan_select: unknown algorithm");
@@ -575,6 +534,23 @@ void validate_payload_arg(const char* fn, PayloadView payload,
   }
 }
 
+/// The device buffer a selection reads its `keys` from.  Kernels only read
+/// their input (every footprint declares it kRead), and the upload sits
+/// outside the modeled event stream, so without a sanitizer the caller's
+/// keys are bound in place instead of being copied into a fresh device
+/// allocation.  With a sanitizer attached they are uploaded into a tracked
+/// allocation, so the shadow sees them like any device data.
+template <typename T>
+simgpu::DeviceBuffer<T> bind_input(simgpu::Device& dev,
+                                   std::span<const T> keys) {
+  if (dev.sanitizer() == nullptr) {
+    return {const_cast<T*>(keys.data()), keys.size()};
+  }
+  auto in = dev.alloc<T>(keys.size(), "select input");
+  dev.upload(in, keys);
+  return in;
+}
+
 /// Best-first reorder in the carrier domain: carrier order equals key order
 /// for every dtype (total, NaN-safe for f16/bf16 ordinals), so sorting
 /// BEFORE decode avoids the float-comparison hazards a decoded sort would
@@ -612,7 +588,7 @@ std::vector<SelectResult> run_carrier_on_device(
     simgpu::Device& dev, std::span<const Carrier> encoded, KeyType dtype,
     std::size_t batch, std::size_t n, std::size_t k, Algo algo,
     const SelectOptions& opt, PayloadView payload) {
-  algo = resolve_algo(algo, n, k, batch, opt.recall_target, dtype);
+  algo = resolve_algo(dev.spec(), algo, n, k, batch, opt.recall_target, dtype);
   if (simcheck_env_enabled() && dev.sanitizer() == nullptr) {
     dev.enable_sanitizer();
   }
@@ -620,8 +596,7 @@ std::vector<SelectResult> run_carrier_on_device(
   const std::size_t issues_before = san != nullptr ? san->issue_count() : 0;
 
   simgpu::ScopedWorkspace scoped(dev);
-  auto in = dev.alloc<Carrier>(batch * n, "select input");
-  dev.upload(in, encoded.first(batch * n));
+  const auto in = bind_input(dev, encoded.first(batch * n));
   auto out_vals = dev.alloc<Carrier>(batch * k, "select output vals");
   auto out_idx = dev.alloc<std::uint32_t>(batch * k, "select output idx");
   SelectOptions topt = opt;
@@ -691,7 +666,7 @@ std::vector<SelectResult> run_on_device(simgpu::Device& dev,
                                         const SelectOptions& opt) {
   // Resolve auto dispatch up front so sanitizer issue attribution names the
   // concrete algorithm that actually runs.
-  algo = resolve_algo(algo, n, k, batch, opt.recall_target);
+  algo = resolve_algo(dev.spec(), algo, n, k, batch, opt.recall_target);
   // Enable checking before the input/output allocations so they are known
   // to the shadow (attribution + uninitialized-read tracking end to end).
   if (simcheck_env_enabled() && dev.sanitizer() == nullptr) {
@@ -701,8 +676,7 @@ std::vector<SelectResult> run_on_device(simgpu::Device& dev,
   const std::size_t issues_before = san != nullptr ? san->issue_count() : 0;
 
   simgpu::ScopedWorkspace ws(dev);
-  auto in = dev.alloc<float>(batch * n, "select input");
-  dev.upload(in, data.first(batch * n));
+  const auto in = bind_input(dev, data.first(batch * n));
   auto out_vals = dev.alloc<float>(batch * k, "select output vals");
   auto out_idx = dev.alloc<std::uint32_t>(batch * k, "select output idx");
   // select_device handles largest-K uniformly (natively for AIR, via the

@@ -44,7 +44,8 @@ enum class Algo {
   kStreamRadix,  ///< chunked host-loop radix select: bounded scratch
                  ///< independent of N, K up to kMaxK (2^20)
   // --- dispatch ---
-  kAuto,  ///< let recommend_algorithm() pick per (n, k, batch) at run time
+  kAuto,  ///< let recommend_algorithm() pick per (n, k, batch, device) at
+          ///< run time
 };
 
 [[nodiscard]] std::string algo_name(Algo algo);
@@ -181,8 +182,9 @@ struct WorkloadHints {
   bool on_the_fly = false;
   /// Independent problems executed in one launch set (the paper benchmarks
   /// batch = 100 throughout §5).  The serving layer's batch planner passes
-  /// the micro-batch size it assembled; many-row micro-batches route to the
-  /// fused row-wise family via the batch-aware cost estimate below.
+  /// the micro-batch size it assembled; every candidate is planned and
+  /// priced at this batch, which is how many-row micro-batches reach the
+  /// fused row-wise family.
   std::size_t batch = 1;
   /// Planned shard count for queries split across a device pool by
   /// topk::shard (0/1 = unsharded).  When > 1 the recommendation is made at
@@ -192,7 +194,7 @@ struct WorkloadHints {
   /// Minimum acceptable recall, in (0, 1].  1.0 (the default) demands an
   /// exact result and can never route to the approximate tier; anything
   /// below enters Algo::kBucketApprox into the cost race against the exact
-  /// pick, priced at the (buckets, keep) shape the planner would choose for
+  /// rows, planned at the (buckets, keep) shape its planner chooses for
   /// this target.  Values outside (0, 1] are rejected with
   /// std::invalid_argument.
   double recall_target = 1.0;
@@ -201,38 +203,54 @@ struct WorkloadHints {
   KeyType dtype = KeyType::kF32;
 };
 
-/// First-order modeled cost (microseconds) of running `algo` on one
-/// (batch, n, k) micro-batch, from the default A100-class DeviceSpec
-/// constants: per-launch overhead, one memory-bound input sweep, and a
-/// lane-op term scaled by how many warps the algorithm can actually spawn.
-/// Deliberately coarse — it only needs to rank choices whose costs differ
-/// structurally: host-serial per-row pipelines (RadixSelect's run loop)
-/// scale their launch count with batch and lose to any fused launch as
-/// soon as rows dominate; one-warp-per-row fused scans beat
-/// warps-per-row + merge structures at small n, and vice versa at mid n.
-/// `recall_target` only affects Algo::kBucketApprox, whose launch count and
-/// candidate volume depend on the (buckets, keep) shape the planner would
-/// pick for that target; every exact algorithm ignores it.
-[[nodiscard]] double estimated_batch_cost_us(Algo algo, std::size_t batch,
-                                             std::size_t n, std::size_t k,
-                                             double recall_target = 1.0);
-
-/// The paper's §5.1 usage guidelines as an API, extended for the serving
-/// tier's many-row micro-batches:
-///  1) on-the-fly processing -> GridSelect;
-///  2) many rows (batch >= 64) with queue-compatible k -> the cheapest of
-///     {fused row-wise (warp/row), fused row-wise (block/row), GridSelect,
-///     AIR Top-K, RadixSelect} under estimated_batch_cost_us (RadixSelect's
-///     host-serial row loop prices it out here — that is the point);
-///  3) large N with small K (< 256) -> GridSelect (the measured winner);
-///  4) everything else -> AIR Top-K.
-/// Throws if the hints are unsatisfiable (on-the-fly with k > 2048).
+/// The Algo::kAuto dispatch: a race priced by the cost model itself.
+///  1) on-the-fly processing -> GridSelect (paper §5.1: only the WarpSelect
+///     family can consume values produced inside another kernel);
+///  2) otherwise every candidate row — fused row-wise (warp/row and
+///     block/row), GridSelect, BlockSelect, AIR Top-K, RadixSelect, plus the
+///     approximate tier when recall_target < 1 — whose K ceiling, dtype mask
+///     and plan_select accept the shape is planned on `spec`, its plan priced
+///     with predict_us, and the cheapest runs (listed order breaks ties).
+/// The prediction is the modeled µs the run will be charged on uniform
+/// input, so the pick follows `spec`: GridSelect where the device is wide
+/// enough to split a row, BlockSelect or the fused family where rows are
+/// many and short, AIR where K outgrows the selection queues.  AIR and
+/// RadixSelect are scored 10% above their prediction: their survivor
+/// counts depend on the key bits, and radix-adversarial keys cost them up
+/// to twice the uniform case, while the other candidates' charges do not
+/// depend on the bits at all.  Throws if the hints are unsatisfiable
+/// (on-the-fly with k > 2048).  The spec-less overload prices on
+/// DeviceSpec{}.
+[[nodiscard]] Algo recommend_algorithm(const simgpu::DeviceSpec& spec,
+                                       std::size_t n, std::size_t k,
+                                       const WorkloadHints& hints = {});
 [[nodiscard]] Algo recommend_algorithm(std::size_t n, std::size_t k,
                                        const WorkloadHints& hints = {});
 
-/// Resolve Algo::kAuto into a concrete algorithm via recommend_algorithm
-/// (identity for every other value).  select()/select_batch()/select_device()
-/// call this, so kAuto is usable anywhere a concrete Algo is.
+/// One entry of the kAuto race: a candidate row and its predicted µs.
+struct PricedAlgo {
+  Algo algo = Algo::kAuto;
+  double predicted_us = 0.0;
+};
+
+/// The race recommend_algorithm runs for (n, k, hints) on `spec`: every
+/// candidate that accepts the shape, in candidate order, with its
+/// predicted_us (empty for on-the-fly hints, which skip the race, and when
+/// no candidate fits the device).  Exposed for `topk_cli --explain`.
+[[nodiscard]] std::vector<PricedAlgo> price_candidates(
+    const simgpu::DeviceSpec& spec, std::size_t n, std::size_t k,
+    const WorkloadHints& hints = {});
+
+/// Resolve Algo::kAuto into a concrete algorithm via recommend_algorithm on
+/// `spec` (identity for every other value).  select()/select_batch()/
+/// select_device() call this with their Device's spec, so kAuto is usable
+/// anywhere a concrete Algo is.  The spec-less overload prices on
+/// DeviceSpec{}.
+[[nodiscard]] Algo resolve_algo(const simgpu::DeviceSpec& spec, Algo algo,
+                                std::size_t n, std::size_t k,
+                                std::size_t batch = 1,
+                                double recall_target = 1.0,
+                                KeyType dtype = KeyType::kF32);
 [[nodiscard]] Algo resolve_algo(Algo algo, std::size_t n, std::size_t k,
                                 std::size_t batch = 1,
                                 double recall_target = 1.0,
@@ -283,9 +301,10 @@ struct SelectOptions {
   KeyType dtype = KeyType::kF32;
 };
 
-/// Run one top-K selection on the simulated device.  `data` is copied to the
-/// device outside the recorded event stream (the paper's timed region also
-/// starts with the data resident on the GPU).
+/// Run one top-K selection on the simulated device.  `data` is treated as
+/// already resident on the device, outside the recorded event stream (the
+/// paper's timed region also starts with the data on the GPU): the kernels
+/// read it in place, or from a tracked copy when a sanitizer is attached.
 SelectResult select(simgpu::Device& dev, std::span<const float> data,
                     std::size_t k, Algo algo, const SelectOptions& opt = {});
 
@@ -342,8 +361,9 @@ class ExecutionPlan {
   [[nodiscard]] std::size_t workspace_bytes() const;
   /// The nominal kernel sequence the plan function recorded against the
   /// layout: every launch with its grid and operand-to-segment binds, plus
-  /// host transfer/compute steps.  Consumed by the static plan auditor
-  /// (src/verify); run_select never reads it.
+  /// host transfer/compute steps, each with its expected cost.  Consumed by
+  /// the static plan auditor (src/verify) and by predict_us; run_select
+  /// never reads it.
   [[nodiscard]] const simgpu::KernelSchedule& schedule() const;
 
  private:
@@ -365,6 +385,19 @@ class ExecutionPlan {
 
   std::shared_ptr<const PlanImpl> impl_;
 };
+
+/// Predicted modeled time (µs) of running `plan` on `spec`: the plan's
+/// KernelSchedule turned into the events its run is expected to record
+/// (simgpu::expected_events — each launch with the expected-case KernelStats
+/// its plan function filled from the kernels' own charge formulas on uniform
+/// input, each host round trip as its copy / sync / host-compute event, a
+/// pass reached with probability p weighted by p) and priced by
+/// CostModel(spec)::expected_us.  The same model that charges the real
+/// run, so there is no second set of constants.  Throws std::invalid_argument for a
+/// row whose plan function records no expected costs (the kAuto candidates,
+/// their ablation variants, WarpSelect and the shard merge are priced).
+[[nodiscard]] double predict_us(const ExecutionPlan& plan,
+                                const simgpu::DeviceSpec& spec);
 
 /// Phase 1 of the two-phase execution contract: validate the problem, pick
 /// the concrete algorithm (kAuto resolves via recommend_algorithm), and

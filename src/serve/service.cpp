@@ -480,32 +480,34 @@ void TopkService::execute_batch(Worker& w, std::size_t worker_id,
   bool plan_looked_up = false;
   if (!live.empty()) {
     try {
-      planned = resolve_algo(batch.key.algo, n, k_exec, rows, batch.key.recall,
-                             batch.key.dtype);
-      if (k_exec > max_k(planned, n)) {
-        std::ostringstream err;
-        err << "plan " << algo_name(planned) << " cannot serve k=" << k_exec
-            << " at n=" << n << " (max " << max_k(planned, n) << ")";
-        throw std::invalid_argument(err.str());
-      }
-      SelectOptions opt;
-      opt.greatest = cfg_.greatest;
-      opt.sorted = cfg_.sorted_results;
-      opt.recall_target = batch.key.recall;
-      opt.dtype = batch.key.dtype;
-
       // Plans are keyed on the micro-batch bucket (row length, padded k,
       // requested algorithm, recall SLO, dtype) plus the assembled row
       // count; a repeat shape reuses the cached ExecutionPlan and both
       // pooled workspaces. Recall is part of the key so a 0.9-SLO plan
       // (smaller per-bucket keep) can never be replayed for an exact
       // request; dtype so an f16-ordinal plan never serves raw f32 rows.
+      // The key holds every input of the kAuto cost race and the worker's
+      // spec is fixed, so the race runs only on a miss and the cached plan
+      // carries its resolved algorithm.
       const auto key = std::make_tuple(n, k_exec, batch.key.algo, rows,
                                        batch.key.recall, batch.key.dtype);
       plan_looked_up = true;
       auto it = w.plans.find(key);
       plan_cache_hit = it != w.plans.end();
       if (!plan_cache_hit) {
+        planned = resolve_algo(dev.spec(), batch.key.algo, n, k_exec, rows,
+                               batch.key.recall, batch.key.dtype);
+        if (k_exec > max_k(planned, n)) {
+          std::ostringstream err;
+          err << "plan " << algo_name(planned) << " cannot serve k=" << k_exec
+              << " at n=" << n << " (max " << max_k(planned, n) << ")";
+          throw std::invalid_argument(err.str());
+        }
+        SelectOptions opt;
+        opt.greatest = cfg_.greatest;
+        opt.sorted = cfg_.sorted_results;
+        opt.recall_target = batch.key.recall;
+        opt.dtype = batch.key.dtype;
         PlanEntry e;
         e.plan = plan_select(dev.spec(), rows, n, k_exec, planned, opt);
         e.seg_vals = e.io.add<float>("serve output vals", rows * k_exec);
@@ -513,6 +515,7 @@ void TopkService::execute_batch(Worker& w, std::size_t worker_id,
         it = w.plans.emplace(key, std::move(e)).first;
       }
       const PlanEntry& entry = it->second;
+      planned = entry.plan.algo();
 
       // Same sanitizer contract as select_batch: enable on request before
       // the IO segments bind so they are known to the shadow, and abort on
@@ -558,7 +561,9 @@ void TopkService::execute_batch(Worker& w, std::size_t worker_id,
                         out_vals.data() + (b + 1) * k_exec);
         r.indices.assign(out_idx.data() + b * k_exec,
                          out_idx.data() + (b + 1) * k_exec);
-        if (opt.sorted) sort_result_best_first(r, opt.greatest, order);
+        if (cfg_.sorted_results) {
+          sort_result_best_first(r, cfg_.greatest, order);
+        }
       }
     } catch (const std::exception& e) {
       fail = e.what();

@@ -65,7 +65,8 @@ struct ServiceConfig {
   /// executing).  submit() beyond this resolves the future with kRejected.
   std::size_t admission_capacity = 1024;
   /// Plan used when submit() passes no override.  kAuto defers to
-  /// recommend_algorithm(n, k_exec, {.batch = rows}) per micro-batch.
+  /// recommend_algorithm(device_spec, n, k_exec, {.batch = rows}), run once
+  /// per plan-cache key.
   Algo default_algo = Algo::kAuto;
   bool greatest = false;        ///< select largest-K instead of smallest-K
   bool sorted_results = false;  ///< order each result best-first

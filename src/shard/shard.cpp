@@ -56,7 +56,7 @@ double estimated_sharded_cost_us(Algo algo, std::size_t shards,
   if (algo == Algo::kAuto) {
     WorkloadHints hints;
     hints.shards = shards;
-    algo = recommend_algorithm(n, k, hints);
+    algo = recommend_algorithm(spec, n, k, hints);
   }
   const double rounds =
       static_cast<double>((shards + devices - 1) / devices);
@@ -65,12 +65,14 @@ double estimated_sharded_cost_us(Algo algo, std::size_t shards,
   const double kk = static_cast<double>(k);
   // Selection: shards run device-parallel, rounds serialize; the gather is
   // two D2H copies (values + indices) per shard.
-  double cost = rounds * estimated_batch_cost_us(algo, 1, n_shard, k) +
-                static_cast<double>(shards) * (2.0 * lat + kk * 8.0 / bw);
+  double cost =
+      rounds * predict_us(plan_select(spec, 1, n_shard, k, algo), spec) +
+      static_cast<double>(shards) * (2.0 * lat + kk * 8.0 / bw);
   if (shards > 1) {
     // Candidate H2D to the merge device, the merge tree, result D2H.
     cost += lat + static_cast<double>(shards) * kk * 4.0 / bw;
-    cost += estimated_batch_cost_us(Algo::kShardMerge, 1, shards * k, k);
+    cost += predict_us(
+        plan_select(spec, 1, shards * k, k, Algo::kShardMerge), spec);
     cost += 2.0 * lat + kk * 8.0 / bw;
   }
   return cost;
@@ -116,7 +118,7 @@ ShardedPlan plan_sharded(const simgpu::DeviceSpec& spec, std::size_t n,
   if (algo == Algo::kAuto) {
     WorkloadHints hints;
     hints.shards = shards;
-    algo = recommend_algorithm(n, k, hints);
+    algo = recommend_algorithm(spec, n, k, hints);
   }
 
   ShardedPlan sp;
@@ -202,7 +204,7 @@ ShardedResult Coordinator::select(std::span<const float> data, std::size_t k,
   if (algo == Algo::kAuto) {
     WorkloadHints hints;
     hints.shards = S;
-    algo = recommend_algorithm(n, k, hints);
+    algo = recommend_algorithm(spec, n, k, hints);
   }
 
   // Largest-K, handled exactly once: shards select the smallest of the

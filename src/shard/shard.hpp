@@ -138,11 +138,11 @@ ShardedResult sharded_select(std::span<const float> data, std::size_t k,
                                      const simgpu::DeviceSpec& spec);
 [[nodiscard]] std::size_t max_shards(std::size_t n, std::size_t k);
 
-/// First-order modeled cost (microseconds) of a sharded query: per-shard
-/// selection cost (estimated_batch_cost_us at the per-shard shape) times
-/// the round count ceil(shards / devices), plus the PCIe gather terms and
-/// the merge-tree cost when shards > 1.  Used by recommend_shards and by
-/// the serving recommender's cost race.
+/// Predicted modeled cost (microseconds) of a sharded query on `spec`: the
+/// per-shard select plan's predict_us times the round count
+/// ceil(shards / devices), plus the PCIe gather terms and the ShardMerge
+/// plan's predict_us when shards > 1.  `algo` must be kAuto or a row whose
+/// plans are priced (see predict_us).  Used by recommend_shards.
 [[nodiscard]] double estimated_sharded_cost_us(
     Algo algo, std::size_t shards, std::size_t devices, std::size_t n,
     std::size_t k, const simgpu::DeviceSpec& spec = {});

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
+
+#include "simgpu/footprint.hpp"
 
 namespace simgpu {
 
@@ -110,6 +113,24 @@ Timeline CostModel::simulate(const EventLog& events) const {
   }
   tl.total_us = std::max(host, dev_free);
   return tl;
+}
+
+double CostModel::expected_us(const KernelSchedule& sched) const {
+  const double base = total_us(expected_events(sched));
+  std::vector<double> fractional;
+  for (const KernelStep& step : sched.steps) {
+    if (step.repeat != std::floor(step.repeat) &&
+        std::find(fractional.begin(), fractional.end(), step.repeat) ==
+            fractional.end()) {
+      fractional.push_back(step.repeat);
+    }
+  }
+  double expected = base;
+  for (const double r : fractional) {
+    expected += (r - std::floor(r)) *
+                (total_us(expected_events(sched, r)) - base);
+  }
+  return expected;
 }
 
 }  // namespace simgpu

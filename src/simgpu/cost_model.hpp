@@ -9,6 +9,8 @@
 
 namespace simgpu {
 
+struct KernelSchedule;  // simgpu/footprint.hpp
+
 /// Modeled cost of one kernel execution.
 struct KernelCost {
   double duration_us = 0.0;
@@ -66,6 +68,14 @@ class CostModel {
   [[nodiscard]] double total_us(const EventLog& events) const {
     return simulate(events).total_us;
   }
+
+  /// Expected modeled time of a priced schedule (see expected_events): the
+  /// time of the log that issues every step floor(repeat) times, plus, for
+  /// each distinct fractional repeat r, frac(r) times what issuing the steps
+  /// that repeat r once more adds.  By linearity of expectation this is the
+  /// mean over runs whenever the optional steps sit on a host-synchronous
+  /// stretch of the timeline (the host loops that have them sync per pass).
+  [[nodiscard]] double expected_us(const KernelSchedule& sched) const;
 
  private:
   DeviceSpec spec_;

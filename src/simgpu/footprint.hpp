@@ -10,6 +10,8 @@
 #include <string_view>
 #include <vector>
 
+#include "simgpu/event.hpp"
+
 /// Kernel footprint contracts.
 ///
 /// A KernelFootprint declares, per operand, how a kernel touches device
@@ -251,6 +253,21 @@ struct OperandBind {
   Access access = Access::kRead;
 };
 
+/// The modeled-timeline event a host step issues when it runs: a PCIe copy,
+/// a host synchronization, or host-side CPU work.  kNone marks host steps
+/// that run outside the recorded event stream (e.g. the negate wrap).
+struct HostCharge {
+  enum class Kind : std::uint8_t {
+    kNone,
+    kCopyToHost,
+    kCopyToDevice,
+    kSync,
+    kCompute,
+  };
+  Kind kind = Kind::kNone;
+  std::uint64_t amount = 0;  ///< bytes for copies, host ops for kCompute
+};
+
 /// One step of a plan's execution, recorded at plan time.
 struct KernelStep {
   enum class Kind : std::uint8_t {
@@ -267,6 +284,16 @@ struct KernelStep {
   std::size_t n = 0;
   std::size_t k = 0;
   std::vector<OperandBind> binds;
+  /// Expected-case cost of this step for the cost model (expected_events):
+  /// launch steps carry the KernelStats the launch is expected to charge on
+  /// uniform input (name/block are filled from the step, and so is the grid
+  /// unless a data-dependent one is given), host steps the event they
+  /// issue.  `repeat` is the expected number of times the run issues the
+  /// step: host-serial row loops record one problem and repeat it per row,
+  /// and a pass the run reaches only with probability p repeats p per row.
+  KernelStats expected;
+  HostCharge host;
+  double repeat = 1.0;
 };
 
 /// The kernel sequence a plan will execute, in order, with every operand ->
@@ -277,12 +304,16 @@ struct KernelStep {
 /// filtered — a superset of any real execution's footprint.
 struct KernelSchedule {
   std::vector<KernelStep> steps;
+  /// True once the plan function filled every step's expected cost; only
+  /// priced schedules can be turned into expected events.
+  bool priced = false;
 
   /// Append a launch step.  No-op helper-style overloads below accept a null
   /// schedule pointer so plan functions can record unconditionally.
   void add_launch(std::string_view kernel, int grid, int block_threads,
                   std::size_t batch, std::size_t n, std::size_t k,
-                  std::vector<OperandBind> binds) {
+                  std::vector<OperandBind> binds,
+                  const KernelStats& expected = {}, double repeat = 1.0) {
     KernelStep s;
     s.kind = KernelStep::Kind::kLaunch;
     s.name = kernel;
@@ -292,14 +323,19 @@ struct KernelSchedule {
     s.n = n;
     s.k = k;
     s.binds = std::move(binds);
+    s.expected = expected;
+    s.repeat = repeat;
     steps.push_back(std::move(s));
   }
 
-  void add_host(std::string_view label, std::vector<OperandBind> binds) {
+  void add_host(std::string_view label, std::vector<OperandBind> binds,
+                HostCharge host = {}, double repeat = 1.0) {
     KernelStep s;
     s.kind = KernelStep::Kind::kHost;
     s.name = label;
     s.binds = std::move(binds);
+    s.host = host;
+    s.repeat = repeat;
     steps.push_back(std::move(s));
   }
 
@@ -317,17 +353,29 @@ struct KernelSchedule {
 inline void record_launch(KernelSchedule* sched, std::string_view kernel,
                           int grid, int block_threads, std::size_t batch,
                           std::size_t n, std::size_t k,
-                          std::vector<OperandBind> binds) {
+                          std::vector<OperandBind> binds,
+                          const KernelStats& expected = {},
+                          double repeat = 1.0) {
   if (sched == nullptr) return;
   sched->add_launch(kernel, grid, block_threads, batch, n, k,
-                    std::move(binds));
+                    std::move(binds), expected, repeat);
 }
 
 inline void record_host(KernelSchedule* sched, std::string_view label,
-                        std::vector<OperandBind> binds) {
+                        std::vector<OperandBind> binds, HostCharge host = {},
+                        double repeat = 1.0) {
   if (sched == nullptr) return;
-  sched->add_host(label, std::move(binds));
+  sched->add_host(label, std::move(binds), host, repeat);
 }
+
+/// The event log a priced schedule is expected to record when it runs:
+/// every launch step becomes a KernelEvent carrying its expected stats,
+/// every charged host step its copy / sync / host-compute event, each
+/// issued floor(repeat) times in order — plus once more for the steps whose
+/// repeat equals `round_up` (CostModel::expected_us prices fractional
+/// repeats with it).  Throws std::invalid_argument on an unpriced schedule.
+[[nodiscard]] EventLog expected_events(const KernelSchedule& sched,
+                                       double round_up = -1.0);
 
 /// ---- Launch-time contract cross-check ------------------------------------
 

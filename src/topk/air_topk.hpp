@@ -10,6 +10,7 @@
 #include "simgpu/simd.hpp"
 #include "simgpu/simgpu.hpp"
 #include "topk/common.hpp"
+#include "topk/expected_cost.hpp"
 #include "topk/radix_traits.hpp"
 
 namespace topk {
@@ -241,6 +242,80 @@ inline void register_air_topk_footprints() {
        }});
 }
 
+/// Candidates surviving pass 0 per unit of K on uniform (0, 1] keys.  The
+/// 11-bit first digit is sign, exponent and two mantissa bits, so the K-th
+/// value v ~ K/n shares its bucket with the keys in [2^e(1 + j/4),
+/// 2^e(1 + (j+1)/4)), a width of 2^e/4 for v in [2^e, 2^(e+1)): n * 2^e/4
+/// keys, i.e. K/(4x) for x = v/2^e, whose log-uniform mean is
+/// 1/(8 ln 2) ~ 0.18.  Every later digit keeps 2^-width of the survivors.
+inline constexpr double kAirFirstDigitSurvivors = 0.18;
+
+/// Expected charges of AIR's launches on uniform input, in schedule order
+/// (air_init, one iteration-fused kernel per pass, the last filter).  Pass 0
+/// and pass 1 always sweep the input; later passes read the survivors from
+/// the candidate buffer while they fit it (adaptive buffering).  Every block
+/// loads the control state, the last block of each problem scans the
+/// histogram to pick the target digit.
+template <typename T>
+std::vector<simgpu::KernelStats> air_expected_costs(const AirTopkPlan<T>& p) {
+  const AirTopkOptions& opt = p.opt;
+  const auto bpp = static_cast<double>(p.shape.blocks_per_problem);
+  const double rows = static_cast<double>(p.batch);
+  const double blocks = rows * bpp;
+  const double n = static_cast<double>(p.n);
+  const double in_bytes = sizeof(T) + (opt.in_idx.empty() ? 0.0 : 4.0);
+  const double pair = sizeof(T) + 4.0;
+  constexpr double kStateLoads = 6 * sizeof(std::uint64_t);
+
+  std::vector<simgpu::KernelStats> costs;
+  double init_bytes = static_cast<double>(air_detail::kNumFields * 8 +
+                                          4 * (p.passes.size() + 1));
+  for (const air_detail::PassPlan& pp : p.passes) {
+    init_bytes += static_cast<double>(std::size_t{4} << pp.width);
+  }
+  const double init_ops = static_cast<double>(1u << opt.digit_bits);
+  costs.push_back(expected_stats(0.0, rows * init_bytes, rows * init_ops,
+                                 init_bytes, init_ops));
+
+  // s[q]: candidates matching the digits of passes 0..q-1.  Kernel q
+  // histograms s[q], stores s[q] into the candidate buffer (q >= 1) and
+  // reads s[q-1] from it (q >= 2), each while the count fits the buffer.
+  const std::size_t np = p.passes.size();
+  std::vector<double> s(np + 1, n);
+  if (np >= 1) {
+    s[1] = std::min(n, kAirFirstDigitSurvivors * static_cast<double>(p.k));
+  }
+  for (std::size_t q = 1; q < np; ++q) {
+    s[q + 1] = std::max(1.0, s[q] / static_cast<double>(1u << p.passes[q].width));
+  }
+  const auto fits = [&](double c) {
+    return !opt.adaptive || c < static_cast<double>(p.n_over_alpha);
+  };
+  const auto last_kernel = static_cast<std::size_t>(
+      opt.fuse_last_filter ? p.num_passes - 1 : p.num_passes);
+  for (std::size_t q = 0; q <= last_kernel; ++q) {
+    const bool last_filter = q == np;
+    const double nb =
+        last_filter ? 0.0 : static_cast<double>(1u << p.passes[q].width);
+    const bool from_buf = q >= 2 && fits(s[q - 1]);
+    const double count = from_buf ? s[q - 1] : n;
+    const double elem_bytes = from_buf ? pair : in_bytes;
+    const double chunk = std::ceil(count / bpp);
+    const double block_ops = 10.0 * chunk + nb;
+    // Pass 1 emits everything below the K-th value's first-digit bucket.
+    const double stored = q >= 1 && !last_filter && fits(s[q]) ? s[q] : 0.0;
+    const double emitted = q == 1 ? static_cast<double>(p.k) : 0.0;
+    const double written = pair * (stored + emitted);
+    const double scan = 2.0 * nb;  // last block: prefix scan over the bins
+    costs.push_back(expected_stats(
+        rows * count * elem_bytes + blocks * kStateLoads + rows * nb * 2.0,
+        rows * written, blocks * block_ops + rows * scan,
+        chunk * elem_bytes + kStateLoads + nb * 4.0 + written / bpp,
+        block_ops + scan));
+  }
+  return costs;
+}
+
 /// Phase 1 of AIR Top-K: validate, build the digit schedule and lay out the
 /// workspace.  The candidate buffer capacity depends on the adaptive flag —
 /// N/alpha + 1 when adaptive buffering is on, N when off — so toggling the
@@ -306,6 +381,8 @@ AirTopkPlan<T> air_topk_plan(const Shape& s, const simgpu::DeviceSpec& spec,
 
   if (sched != nullptr) {
     register_air_topk_footprints();
+    const std::vector<simgpu::KernelStats> cost = air_expected_costs(p);
+    sched->priced = true;
     // Nominal schedule: init, one fused kernel per pass (later passes bind
     // both the input and the candidate buffer — the adaptive read source is
     // data-dependent, so the superset is recorded), then the last filter
@@ -319,7 +396,7 @@ AirTopkPlan<T> air_topk_plan(const Shape& s, const simgpu::DeviceSpec& spec,
     }
     simgpu::record_launch(sched, "air_init", static_cast<int>(s.batch),
                           opt.block_threads, s.batch, s.n, s.k,
-                          std::move(init_binds));
+                          std::move(init_binds), cost[0]);
     const int last_kernel =
         opt.fuse_last_filter ? p.num_passes - 1 : p.num_passes;
     for (int pass = 0; pass <= last_kernel; ++pass) {
@@ -353,7 +430,7 @@ AirTopkPlan<T> air_topk_plan(const Shape& s, const simgpu::DeviceSpec& spec,
           is_last_filter ? std::string_view{"last_filter_kernel"}
                          : p.pass_names[static_cast<std::size_t>(pass)],
           p.shape.total_blocks(), opt.block_threads, s.batch, s.n, s.k,
-          std::move(binds));
+          std::move(binds), cost[static_cast<std::size_t>(pass) + 1]);
     }
   }
   return p;

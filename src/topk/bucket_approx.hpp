@@ -12,6 +12,7 @@
 
 #include "simgpu/simgpu.hpp"
 #include "topk/common.hpp"
+#include "topk/expected_cost.hpp"
 #include "topk/partial_sort_common.hpp"
 #include "topk/shard_merge.hpp"
 #include "topk/warp_select.hpp"
@@ -311,12 +312,31 @@ BucketApproxPlan<T> bucket_approx_plan(const Shape& s,
 
   const auto scan_grid = static_cast<int>(s.batch * p.chunks);
   const int scan_threads = p.warps * simgpu::kWarpSize;
+  // Expected charges: each of the W warps of a chunk block runs a
+  // WarpSelect engine over a contiguous 1/W of the chunk, the warp lists
+  // merge, and the block stores its q survivors; the refine kernel sorts
+  // each problem's C*q candidates with one bitonic network.
+  const auto warps = static_cast<std::size_t>(p.warps);
+  const std::size_t chunk = (s.n + p.chunks - 1) / p.chunks;
+  const double block_ops =
+      static_cast<double>(warps) *
+          expected_thread_queue_ops((chunk + warps - 1) / warps, p.keep) +
+      static_cast<double>((warps - 1) * merge_prune_ops(next_pow2(p.keep)));
+  const double pair = sizeof(T) + 4.0;
+  const double blocks = static_cast<double>(s.batch * p.chunks);
+  const double block_out = pair * static_cast<double>(p.keep);
+  const simgpu::KernelStats scan_cost = expected_stats(
+      static_cast<double>(s.batch * s.n * sizeof(T)), blocks * block_out,
+      blocks * block_ops, static_cast<double>(chunk * sizeof(T)) + block_out,
+      block_ops);
+  if (sched != nullptr) sched->priced = true;
   if (p.direct) {
     simgpu::record_launch(sched, "BucketApproxScanEmit", scan_grid,
                           scan_threads, s.batch, s.n, s.k,
                           {{"in", simgpu::kBindInput},
                            {"out_vals", simgpu::kBindOutVals},
-                           {"out_idx", simgpu::kBindOutIdx}});
+                           {"out_idx", simgpu::kBindOutIdx}},
+                          scan_cost);
     return p;
   }
   p.seg_cand_val = layout.add<T>("bucket approx cand val", s.batch * p.cand);
@@ -326,13 +346,21 @@ BucketApproxPlan<T> bucket_approx_plan(const Shape& s,
                         s.batch, s.n, s.k,
                         {{"in", simgpu::kBindInput},
                          {"cand_val", static_cast<int>(p.seg_cand_val)},
-                         {"cand_idx", static_cast<int>(p.seg_cand_idx)}});
+                         {"cand_idx", static_cast<int>(p.seg_cand_idx)}},
+                        scan_cost);
+  const double cands = pair * static_cast<double>(p.cand);
+  const double out = pair * static_cast<double>(s.k);
+  const auto sort_ops = static_cast<double>(bitonic_sort_ops(p.sort_len));
+  const double rows = static_cast<double>(s.batch);
   simgpu::record_launch(sched, "BucketApproxRefine",
                         static_cast<int>(s.batch), 1024, s.batch, s.n, s.k,
                         {{"cand_val", static_cast<int>(p.seg_cand_val)},
                          {"cand_idx", static_cast<int>(p.seg_cand_idx)},
                          {"out_vals", simgpu::kBindOutVals},
-                         {"out_idx", simgpu::kBindOutIdx}});
+                         {"out_idx", simgpu::kBindOutIdx}},
+                        expected_stats(rows * cands, rows * out,
+                                       rows * sort_ops, cands + out,
+                                       sort_ops));
   return p;
 }
 

@@ -12,6 +12,7 @@
 
 #include "simgpu/simgpu.hpp"
 #include "topk/common.hpp"
+#include "topk/expected_cost.hpp"
 #include "topk/grid_select.hpp"
 #include "topk/partial_sort_common.hpp"
 #include "topk/warp_select.hpp"
@@ -169,9 +170,22 @@ FusedRowwisePlan<T> fused_rowwise_plan(const Shape& s,
     if (!opt.in_idx.empty()) binds.push_back({"in_idx", simgpu::kBindInput});
     binds.push_back({"out_vals", simgpu::kBindOutVals});
     binds.push_back({"out_idx", simgpu::kBindOutIdx});
+    simgpu::KernelStats cost;
+    if (sched != nullptr) {
+      // Expected charges: one WarpSelect engine per row over the whole row.
+      const double row_ops = expected_thread_queue_ops(s.n, s.k);
+      const double in = static_cast<double>(s.n) *
+                        (sizeof(T) + (opt.in_idx.empty() ? 0 : 4));
+      const double out = static_cast<double>(s.k * (sizeof(T) + 4));
+      const double rows = static_cast<double>(s.batch);
+      const double rpb = static_cast<double>(p.rows_per_block);
+      cost = expected_stats(rows * in, rows * out, rows * row_ops,
+                            rpb * (in + out), rpb * row_ops);
+      sched->priced = true;
+    }
     simgpu::record_launch(sched, "FusedRowwise_warp", p.grid,
                           p.rows_per_block * simgpu::kWarpSize, s.batch, s.n,
-                          s.k, std::move(binds));
+                          s.k, std::move(binds), cost);
     return p;
   }
 
@@ -197,20 +211,41 @@ FusedRowwisePlan<T> fused_rowwise_plan(const Shape& s,
       layout.add<T>("fused rowwise partial vals", s.batch * warps * p.cap);
   p.seg_part_idx = layout.add<std::uint32_t>("fused rowwise partial idx",
                                              s.batch * warps * p.cap);
-  {
+  if (sched != nullptr) {
+    // Expected charges: each warp's shared-queue engine scans an
+    // interleaved 1/num_warps of the row and publishes its list; the merge
+    // kernel prunes the num_warps lists of each row.
+    const double scan_ops =
+        static_cast<double>(warps) *
+        expected_shared_queue_ops((s.n + warps - 1) / warps, s.k);
+    const double in = static_cast<double>(s.n) *
+                      (sizeof(T) + (opt.in_idx.empty() ? 0 : 4));
+    const double lists =
+        static_cast<double>(warps * p.cap * (sizeof(T) + 4));
+    const double out = static_cast<double>(s.k * (sizeof(T) + 4));
+    const double merge_ops =
+        static_cast<double>((warps - 1) * merge_prune_ops(p.cap));
+    const double rows = static_cast<double>(s.batch);
     std::vector<simgpu::OperandBind> binds = {{"in", simgpu::kBindInput}};
     if (!opt.in_idx.empty()) binds.push_back({"in_idx", simgpu::kBindInput});
     binds.push_back({"part_val", static_cast<int>(p.seg_part_val)});
     binds.push_back({"part_idx", static_cast<int>(p.seg_part_idx)});
     simgpu::record_launch(sched, "FusedRowwise_block", p.grid,
                           p.num_warps * simgpu::kWarpSize, s.batch, s.n, s.k,
-                          std::move(binds));
+                          std::move(binds),
+                          expected_stats(rows * in, rows * lists,
+                                         rows * scan_ops, in + lists,
+                                         scan_ops));
     simgpu::record_launch(sched, "FusedRowwise_block_merge", p.grid, 1024,
                           s.batch, s.n, s.k,
                           {{"part_val", static_cast<int>(p.seg_part_val)},
                            {"part_idx", static_cast<int>(p.seg_part_idx)},
                            {"out_vals", simgpu::kBindOutVals},
-                           {"out_idx", simgpu::kBindOutIdx}});
+                           {"out_idx", simgpu::kBindOutIdx}},
+                          expected_stats(rows * lists, rows * out,
+                                         rows * merge_ops, lists + out,
+                                         merge_ops));
+    sched->priced = true;
   }
   return p;
 }

@@ -13,6 +13,7 @@
 
 #include "simgpu/simgpu.hpp"
 #include "topk/common.hpp"
+#include "topk/expected_cost.hpp"
 #include "topk/partial_sort_common.hpp"
 #include "topk/warp_select.hpp"
 
@@ -433,6 +434,40 @@ GridSelectPlan<T> grid_select_plan(const Shape& s,
                                                s.batch * bpp * p.cap);
   }
   register_grid_select_footprints();
+  // Expected charges: every warp scans an interleaved 1/num_warps of its
+  // block's chunk, the block merges its warp lists and publishes one sorted
+  // list; the merge kernel prunes bpp lists per problem.
+  simgpu::KernelStats partial_cost;
+  simgpu::KernelStats merge_cost;
+  if (sched != nullptr) {
+    const auto bpp = static_cast<std::size_t>(p.shape.blocks_per_problem);
+    const auto warps = static_cast<std::size_t>(p.num_warps);
+    const double chunk = std::ceil(static_cast<double>(s.n) /
+                                   static_cast<double>(bpp));
+    const auto warp_elems = static_cast<std::size_t>(
+        std::ceil(chunk / static_cast<double>(warps)));
+    const double warp_ops =
+        opt.shared_queue ? expected_shared_queue_ops(warp_elems, s.k)
+                         : expected_thread_queue_ops(warp_elems, s.k);
+    const double block_ops =
+        static_cast<double>(warps) * warp_ops +
+        static_cast<double>((warps - 1) * merge_prune_ops(p.cap));
+    const double pair = sizeof(T) + sizeof(std::uint32_t);
+    const double block_out =
+        pair * static_cast<double>(p.direct_output ? s.k : p.cap);
+    const double blocks = static_cast<double>(s.batch * bpp);
+    sched->priced = true;
+    partial_cost = expected_stats(
+        static_cast<double>(s.batch * s.n * sizeof(T)), blocks * block_out,
+        blocks * block_ops, chunk * sizeof(T) + block_out, block_ops);
+    const double lists = pair * static_cast<double>(bpp * p.cap);
+    const double merge_ops =
+        static_cast<double>((bpp - 1) * merge_prune_ops(p.cap));
+    const double out = pair * static_cast<double>(s.k);
+    merge_cost = expected_stats(
+        static_cast<double>(s.batch) * lists, static_cast<double>(s.batch) * out,
+        static_cast<double>(s.batch) * merge_ops, lists + out, merge_ops);
+  }
   {
     std::vector<simgpu::OperandBind> binds = {{"in", simgpu::kBindInput}};
     if (!opt.in_idx.empty()) binds.push_back({"in_idx", simgpu::kBindInput});
@@ -447,7 +482,7 @@ GridSelectPlan<T> grid_select_plan(const Shape& s,
                           opt.shared_queue ? "GridSelect_partial"
                                            : "GridSelect_partial_threadqueue",
                           p.shape.total_blocks(), p.shape.block_threads,
-                          s.batch, s.n, s.k, std::move(binds));
+                          s.batch, s.n, s.k, std::move(binds), partial_cost);
     if (!p.direct_output) {
       simgpu::record_launch(sched, "GridSelect_merge",
                             static_cast<int>(s.batch), 1024, s.batch, s.n,
@@ -455,7 +490,8 @@ GridSelectPlan<T> grid_select_plan(const Shape& s,
                             {{"part_val", static_cast<int>(p.seg_part_val)},
                              {"part_idx", static_cast<int>(p.seg_part_idx)},
                              {"out_vals", simgpu::kBindOutVals},
-                             {"out_idx", simgpu::kBindOutIdx}});
+                             {"out_idx", simgpu::kBindOutIdx}},
+                            merge_cost);
     }
   }
   return p;

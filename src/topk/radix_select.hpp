@@ -10,6 +10,7 @@
 #include "simgpu/simd.hpp"
 #include "simgpu/simgpu.hpp"
 #include "topk/common.hpp"
+#include "topk/expected_cost.hpp"
 #include "topk/radix_traits.hpp"
 
 namespace topk {
@@ -136,6 +137,16 @@ inline void register_radix_select_footprints() {
   register_copy_remainder_footprint();
 }
 
+/// Candidates matching the K-th value's first one and two 8-bit digits per
+/// unit of K on uniform (0, 1] keys (v ~ K/n, x = v / 2^e log-uniform).
+/// Digit 0 is sign + seven exponent bits: the bucket spans an exponent
+/// pair [2^e, 2^(e+2)), 3 * 2^e wide for x in [1, 4), so the mean is
+/// 3 E[1/x] = 3 * (3/4) / ln 4 ~ 1.62.  Digit 1 is the last exponent bit
+/// + seven mantissa bits: 2^e / 128 wide for x in [1, 2), mean
+/// E[1/x] / 128 = 1 / (256 ln 2) ~ 0.0056.  Every later digit keeps 2^-8.
+inline constexpr double kRadixFirstDigitSurvivors = 1.62;
+inline constexpr double kRadixSecondDigitSurvivors = 0.0056;
+
 /// Phase 1 of RadixSelect: validate, precompute the pass schedule (start
 /// bits and interned kernel names) and lay out the workspace.
 template <typename T>
@@ -183,15 +194,53 @@ RadixSelectPlan<T> radix_select_plan(const Shape& s,
     // assumed to scan the full n candidates (the real pass count and
     // candidate counts shrink data-dependently, so this is the conservative
     // superset of any actual execution).
+    //
+    // Expected costs: the host loop runs every step once per problem
+    // (repeat = batch).  Pass q scans the count[q] candidates matching the
+    // digits picked so far.  A row stops early once every remaining
+    // candidate is a result — after pass q-1 with probability
+    // 1 / count[q] (the K-th key is the bucket's largest) — so pass q
+    // repeats for the expected number of rows still running.
     const GridShape hshape =
         make_grid(1, s.n, spec, opt.block_threads, opt.items_per_block);
+    const double nb = static_cast<double>(p.nb);
+    const double pair = sizeof(T) + 4.0;
+    std::vector<double> count(
+        std::max<std::size_t>(3, static_cast<std::size_t>(p.num_passes) + 1),
+        static_cast<double>(s.n));
+    count[1] = std::min(count[0],
+                        kRadixFirstDigitSurvivors * static_cast<double>(s.k));
+    count[2] = std::min(count[1],
+                        kRadixSecondDigitSurvivors * static_cast<double>(s.k));
+    for (std::size_t q = 3; q < count.size(); ++q) {
+      count[q] = count[q - 1] / static_cast<double>(p.nb);
+    }
+    const auto rows = static_cast<double>(s.batch);
+    sched->priced = true;
+    double running = rows;
     int cur = 0;
     for (int pass = 0; pass < p.num_passes; ++pass) {
       const auto& pp = p.passes[static_cast<std::size_t>(pass)];
+      const auto q = static_cast<std::size_t>(pass);
+      if (q >= 1) running *= 1.0 - 1.0 / std::max(1.0, count[q]);
+      const GridShape pshape =
+          make_grid(1, static_cast<std::size_t>(std::ceil(count[q])), spec,
+                    opt.block_threads, opt.items_per_block);
+      const double chunk =
+          std::ceil(count[q] / pshape.blocks_per_problem);
+      const double src_bytes = q == 0 ? sizeof(T) : pair;
       simgpu::record_launch(sched, "Memset", 1, opt.block_threads, 1, s.n,
                             s.k,
                             {{"hist", static_cast<int>(p.seg_hist)},
-                             {"counters", static_cast<int>(p.seg_counters)}});
+                             {"counters", static_cast<int>(p.seg_counters)}},
+                            expected_stats(0.0, 4.0 * nb + 8.0, 0.0,
+                                           4.0 * nb + 8.0, 0.0),
+                            running);
+      simgpu::KernelStats hist_cost = expected_stats(
+          count[q] * sizeof(T), 0.0,
+          3.0 * count[q] + nb * pshape.blocks_per_problem,
+          chunk * sizeof(T), 3.0 * chunk + nb);
+      hist_cost.grid_blocks = pshape.total_blocks();
       std::vector<simgpu::OperandBind> hist_binds;
       if (pass == 0) {
         hist_binds.push_back({"in", simgpu::kBindInput});
@@ -201,15 +250,21 @@ RadixSelectPlan<T> radix_select_plan(const Shape& s,
       hist_binds.push_back({"hist", static_cast<int>(p.seg_hist)});
       simgpu::record_launch(sched, pp.hist_name, hshape.total_blocks(),
                             opt.block_threads, 1, s.n, s.k,
-                            std::move(hist_binds));
+                            std::move(hist_binds), hist_cost, running);
       simgpu::record_host(
           sched, "histogram",
           {{"hist", static_cast<int>(p.seg_hist), simgpu::Access::kRead},
            {"host_hist", static_cast<int>(p.seg_host_hist),
-            simgpu::Access::kWrite}});
+            simgpu::Access::kWrite}},
+          {simgpu::HostCharge::Kind::kCopyToHost,
+           static_cast<std::uint64_t>(4 * p.nb)},
+          running);
       simgpu::record_host(sched, "scan+find_digit",
                           {{"host_hist", static_cast<int>(p.seg_host_hist),
-                            simgpu::Access::kRead}});
+                            simgpu::Access::kRead}},
+                          {simgpu::HostCharge::Kind::kCompute,
+                           static_cast<std::uint64_t>(3 * p.nb)},
+                          running);
       std::vector<simgpu::OperandBind> filter_binds;
       if (pass == 0) {
         filter_binds.push_back({"in", simgpu::kBindInput});
@@ -222,9 +277,21 @@ RadixSelectPlan<T> radix_select_plan(const Shape& s,
       filter_binds.push_back({"out_idx", simgpu::kBindOutIdx});
       filter_binds.push_back({"dst_val", static_cast<int>(p.seg_val[1 - cur])});
       filter_binds.push_back({"dst_idx", static_cast<int>(p.seg_idx[1 - cur])});
+      // Pass 0 emits everything below the K-th value's bucket; every pass
+      // moves its bucket to the other candidate buffer, one atomic each.
+      const double moved =
+          count[q + 1] + (q == 0 ? static_cast<double>(s.k) : 0.0);
+      simgpu::KernelStats filter_cost = expected_stats(
+          count[q] * src_bytes, moved * pair, 4.0 * count[q],
+          chunk * src_bytes + moved * pair / pshape.blocks_per_problem,
+          4.0 * chunk);
+      filter_cost.grid_blocks = pshape.total_blocks();
+      filter_cost.atomic_ops = expected_count(moved);
       simgpu::record_launch(sched, pp.filter_name, hshape.total_blocks(),
                             opt.block_threads, 1, s.n, s.k,
-                            std::move(filter_binds));
+                            std::move(filter_binds), filter_cost, running);
+      simgpu::record_host(sched, "host check", {},
+                          {simgpu::HostCharge::Kind::kSync, 0}, running);
       cur = 1 - cur;
     }
     simgpu::record_launch(sched, "CopyRemainder", 1, opt.block_threads, 1,
@@ -232,7 +299,11 @@ RadixSelectPlan<T> radix_select_plan(const Shape& s,
                           {{"src_val", static_cast<int>(p.seg_val[cur])},
                            {"src_idx", static_cast<int>(p.seg_idx[cur])},
                            {"out_vals", simgpu::kBindOutVals},
-                           {"out_idx", simgpu::kBindOutIdx}});
+                           {"out_idx", simgpu::kBindOutIdx}},
+                          expected_stats(pair, pair, 1.0, 2.0 * pair, 1.0),
+                          rows);
+    simgpu::record_host(sched, "final", {},
+                        {simgpu::HostCharge::Kind::kSync, 0}, rows);
   }
   return p;
 }

@@ -53,7 +53,7 @@ struct PlanImpl {
   bool u32_carrier = false;
   simgpu::WorkspaceLayout layout;
   /// Nominal kernel sequence recorded by the plan function, for the static
-  /// plan auditor (src/verify).  Not consumed by run_select.
+  /// plan auditor (src/verify) and predict_us.  Not consumed by run_select.
   simgpu::KernelSchedule schedule;
   std::variant<SortTopkPlan<float>, BitonicTopkPlan<float>,
                QuickSelectPlan<float>, BucketSelectPlan<float>,

@@ -9,6 +9,7 @@
 
 #include "simgpu/simgpu.hpp"
 #include "topk/common.hpp"
+#include "topk/expected_cost.hpp"
 #include "topk/partial_sort_common.hpp"
 
 namespace topk {
@@ -191,12 +192,25 @@ ShardMergePlan<T> shard_merge_plan(const Shape& s,
   // sort kernel emits the k best directly — no run buffers, no tree, no
   // separate emit launch.  This is the common shape for the cross-shard
   // reduction (shards * k candidates are few) and halves its launch count.
+  //
+  // Expected charges are data-oblivious: sort networks over each run, one
+  // merge-prune per pair of lists per tree level, sequential list copies.
+  const double pair = sizeof(T) + 4.0;
+  const double rows = static_cast<double>(s.batch);
+  const auto sort_ops = static_cast<double>(bitonic_sort_ops(p.run_len));
+  const double run_in = static_cast<double>(std::min(s.n, p.run_len) *
+                                            sizeof(T));
+  if (sched != nullptr) sched->priced = true;
   if (p.runs == 1) {
+    const double out = pair * static_cast<double>(s.k);
     simgpu::record_launch(sched, "ShardMergeSortEmit",
                           static_cast<int>(s.batch), 1024, s.batch, s.n, s.k,
                           {{"in", simgpu::kBindInput},
                            {"out_vals", simgpu::kBindOutVals},
-                           {"out_idx", simgpu::kBindOutIdx}});
+                           {"out_idx", simgpu::kBindOutIdx}},
+                          expected_stats(rows * run_in, rows * out,
+                                         rows * sort_ops, run_in + out,
+                                         sort_ops));
     return p;
   }
 
@@ -213,12 +227,18 @@ ShardMergePlan<T> shard_merge_plan(const Shape& s,
                                              s.batch * p.stride[1] * p.cap);
   }
 
+  const double list = pair * static_cast<double>(p.cap);
+  const double runs = rows * static_cast<double>(p.runs);
   simgpu::record_launch(sched, "ShardMergeSort",
                         static_cast<int>(s.batch * p.runs), 1024, s.batch,
                         s.n, s.k,
                         {{"in", simgpu::kBindInput},
                          {"run_val", static_cast<int>(p.seg_val[0])},
-                         {"run_idx", static_cast<int>(p.seg_idx[0])}});
+                         {"run_idx", static_cast<int>(p.seg_idx[0])}},
+                        expected_stats(
+                            static_cast<double>(s.batch * s.n * sizeof(T)),
+                            runs * list, runs * sort_ops, run_in + list,
+                            sort_ops));
   std::size_t r_in = p.runs;
   for (int level = 1; level <= p.levels; ++level) {
     const std::size_t r_out = (r_in + 1) / 2;
@@ -231,16 +251,24 @@ ShardMergePlan<T> shard_merge_plan(const Shape& s,
         {{"src_val", static_cast<int>(p.seg_val[src])},
          {"src_idx", static_cast<int>(p.seg_idx[src])},
          {"dst_val", static_cast<int>(p.seg_val[dst])},
-         {"dst_idx", static_cast<int>(p.seg_idx[dst])}});
+         {"dst_idx", static_cast<int>(p.seg_idx[dst])}},
+        expected_stats(rows * static_cast<double>(r_in) * list,
+                       rows * static_cast<double>(r_out) * list,
+                       rows * static_cast<double>(r_in / 2) *
+                           static_cast<double>(merge_prune_ops(p.cap)),
+                       3.0 * list, static_cast<double>(merge_prune_ops(p.cap))));
     r_in = r_out;
   }
   const int fin = p.levels % 2;
+  const double out = pair * static_cast<double>(s.k);
   simgpu::record_launch(sched, "ShardMergeEmit", static_cast<int>(s.batch),
                         1024, s.batch, s.n, s.k,
                         {{"src_val", static_cast<int>(p.seg_val[fin])},
                          {"src_idx", static_cast<int>(p.seg_idx[fin])},
                          {"out_vals", simgpu::kBindOutVals},
-                         {"out_idx", simgpu::kBindOutIdx}});
+                         {"out_idx", simgpu::kBindOutIdx}},
+                        expected_stats(rows * out, rows * out, 0.0,
+                                       2.0 * out, 0.0));
   return p;
 }
 

@@ -13,6 +13,7 @@
 
 #include "simgpu/simgpu.hpp"
 #include "topk/common.hpp"
+#include "topk/expected_cost.hpp"
 #include "topk/partial_sort_common.hpp"
 
 namespace topk {
@@ -361,11 +362,28 @@ FaissSelectPlan<T> faiss_select_plan(const Shape& s,
                                 " register-resident limit");
   }
   register_faiss_select_footprints();
+  simgpu::KernelStats cost;
+  if (sched != nullptr) {
+    // Expected charges: each warp scans an interleaved 1/num_warps of its
+    // problem, then the warp lists merge into one.
+    const auto warps = static_cast<std::size_t>(num_warps);
+    const double block_ops =
+        static_cast<double>(warps) *
+            expected_thread_queue_ops((s.n + warps - 1) / warps, s.k) +
+        static_cast<double>((warps - 1) * merge_prune_ops(next_pow2(s.k)));
+    const double in = static_cast<double>(s.n * sizeof(T));
+    const double out = static_cast<double>(s.k * (sizeof(T) + 4));
+    const double rows = static_cast<double>(s.batch);
+    cost = expected_stats(rows * in, rows * out, rows * block_ops, in + out,
+                          block_ops);
+    sched->priced = true;
+  }
   simgpu::record_launch(sched, kernel_name, static_cast<int>(s.batch),
                         num_warps * simgpu::kWarpSize, s.batch, s.n, s.k,
                         {{"in", simgpu::kBindInput},
                          {"out_vals", simgpu::kBindOutVals},
-                         {"out_idx", simgpu::kBindOutIdx}});
+                         {"out_idx", simgpu::kBindOutIdx}},
+                        cost);
   return FaissSelectPlan<T>{s.batch, s.n, s.k, num_warps, kernel_name};
 }
 

@@ -106,14 +106,16 @@ TEST(TopkService, AutoPlannerFollowsRecommendation) {
   ServiceConfig cfg;
   cfg.max_batch = 1;
   TopkService svc(cfg);
-  // Small k on a large row -> GridSelect per the paper's §5.1 guidelines.
+  // Each single-row bucket runs the recommender's pick for the worker's
+  // device at (n, padded k, rows = 1).
   const QueryResult small_k = svc.submit(keys_for(1 << 16, 40), 16).get();
   ASSERT_EQ(small_k.status, QueryStatus::kOk) << small_k.error;
-  EXPECT_EQ(small_k.algo, Algo::kGridSelect);
-  // Large k -> AIR Top-K.
+  EXPECT_EQ(small_k.algo,
+            recommend_algorithm(cfg.device_spec, 1 << 16, 16, {}));
   const QueryResult large_k = svc.submit(keys_for(1 << 16, 41), 512).get();
   ASSERT_EQ(large_k.status, QueryStatus::kOk) << large_k.error;
-  EXPECT_EQ(large_k.algo, Algo::kAirTopk);
+  EXPECT_EQ(large_k.algo,
+            recommend_algorithm(cfg.device_spec, 1 << 16, 512, {}));
   // Whatever the plan, it must be legal for the padded k.
   EXPECT_LE(std::size_t{16}, max_k(small_k.algo, 1 << 16));
   EXPECT_LE(std::size_t{512}, max_k(large_k.algo, 1 << 16));

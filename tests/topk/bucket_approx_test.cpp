@@ -393,11 +393,15 @@ TEST(BucketApproxRouting, RelaxedTargetWinsTheCostRaceAtLargeN) {
   hints.recall_target = 0.9;
   EXPECT_EQ(recommend_algorithm(std::size_t{1} << 22, 256, hints),
             Algo::kBucketApprox);
-  // The modeled cost the race saw must actually be lower.
-  EXPECT_LT(estimated_batch_cost_us(Algo::kBucketApprox, 1,
-                                    std::size_t{1} << 22, 256, 0.9),
-            estimated_batch_cost_us(Algo::kAirTopk, 1, std::size_t{1} << 22,
-                                    256));
+  // The predicted cost the race saw must be the lowest of every candidate.
+  const std::vector<PricedAlgo> race =
+      price_candidates(simgpu::DeviceSpec{}, std::size_t{1} << 22, 256, hints);
+  ASSERT_FALSE(race.empty());
+  const auto best = std::min_element(
+      race.begin(), race.end(), [](const PricedAlgo& a, const PricedAlgo& b) {
+        return a.predicted_us < b.predicted_us;
+      });
+  EXPECT_EQ(best->algo, Algo::kBucketApprox);
   // Tiny problems stay exact even with a relaxed SLO: the two-launch
   // overhead dwarfs any sweep savings.
   EXPECT_NE(recommend_algorithm(1024, 16, hints), Algo::kBucketApprox);
