@@ -12,7 +12,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "topk/air_topk.hpp"
 
 namespace {
 
@@ -23,7 +22,7 @@ struct AlphaResult {
 
 AlphaResult run_alpha(const simgpu::DeviceSpec& spec,
                       const std::vector<float>& values, std::size_t k,
-                      int alpha) {
+                      int alpha, bool verify) {
   simgpu::Device dev(spec);
   simgpu::ScopedWorkspace ws(dev);
   auto in = dev.alloc<float>(values.size());
@@ -32,9 +31,14 @@ AlphaResult run_alpha(const simgpu::DeviceSpec& spec,
   auto oi = dev.alloc<std::uint32_t>(k);
   dev.reset_peak_live_bytes();
   dev.clear_events();
-  topk::AirTopkOptions opt;
+  topk::SelectOptions opt;
   opt.alpha = alpha;
-  topk::air_topk(dev, in, 1, values.size(), k, ov, oi, opt);
+  topk::select_device(dev, in, 1, values.size(), k, ov, oi,
+                      topk::Algo::kAirTopk, opt);
+  if (verify) {
+    topk::bench::verify_or_exit(values, k, ov, oi,
+                                "alpha=" + std::to_string(alpha));
+  }
   return {simgpu::CostModel(spec).total_us(dev.events()),
           dev.peak_live_bytes()};
 }
@@ -57,7 +61,7 @@ int main() {
         data::DistributionSpec{data::Distribution::kAdversarial, 20}}) {
     const auto values = data::generate(dist, n, 0xA1FA);
     for (int alpha : {4, 16, 128, 1024, 1 << 20}) {
-      const AlphaResult r = run_alpha(spec, values, k, alpha);
+      const AlphaResult r = run_alpha(spec, values, k, alpha, scale.verify);
       std::cout << "ablation_alpha," << dist.name() << "," << n << "," << k
                 << "," << alpha << "," << r.us << ","
                 << static_cast<double>(r.peak_bytes) / (1 << 20) << "\n";

@@ -19,7 +19,7 @@ struct DigitResult {
 
 DigitResult run_digits(const simgpu::DeviceSpec& spec,
                        const std::vector<float>& values, std::size_t k,
-                       int digit_bits) {
+                       int digit_bits, bool verify) {
   simgpu::Device dev(spec);
   simgpu::ScopedWorkspace ws(dev);
   auto in = dev.alloc<float>(values.size());
@@ -29,7 +29,16 @@ DigitResult run_digits(const simgpu::DeviceSpec& spec,
   dev.clear_events();
   topk::AirTopkOptions opt;
   opt.digit_bits = digit_bits;
-  topk::air_topk(dev, in, 1, values.size(), k, ov, oi, opt);
+  simgpu::WorkspaceLayout layout;
+  const auto plan = topk::air_topk_plan<float>(
+      topk::Shape{1, values.size(), k, false}, spec, opt, layout);
+  simgpu::Workspace work(dev);
+  work.bind(layout);
+  topk::air_topk_run(dev, plan, work, in, ov, oi);
+  if (verify) {
+    topk::bench::verify_or_exit(values, k, ov, oi,
+                                "digit_bits=" + std::to_string(digit_bits));
+  }
   std::size_t kernels = 0;
   for (const auto& e : dev.events()) {
     kernels += std::holds_alternative<simgpu::KernelEvent>(e) ? 1u : 0u;
@@ -57,7 +66,7 @@ int main() {
       const std::size_t n = std::size_t{1} << log_n;
       const auto values = data::generate(dist, n, 0xD161 + n);
       for (int b : {4, 8, 11}) {
-        const DigitResult r = run_digits(spec, values, k, b);
+        const DigitResult r = run_digits(spec, values, k, b, scale.verify);
         std::cout << "ablation_digit_bits," << dist.name() << "," << n << ","
                   << k << "," << b << "," << (32 + b - 1) / b << ","
                   << r.kernels << "," << r.us << "\n";

@@ -51,6 +51,20 @@ RunResult run_algo(const simgpu::DeviceSpec& spec,
   return r;
 }
 
+void verify_or_exit(std::span<const float> data, std::size_t k,
+                    simgpu::DeviceBuffer<float> vals,
+                    simgpu::DeviceBuffer<std::uint32_t> idx,
+                    const std::string& what) {
+  SelectResult res;
+  res.values.assign(vals.data(), vals.data() + k);
+  res.indices.assign(idx.data(), idx.data() + k);
+  const std::string err = verify_topk(data, k, res);
+  if (!err.empty()) {
+    std::cerr << "VERIFY FAILED " << what << ": " << err << "\n";
+    std::exit(1);
+  }
+}
+
 BenchScale BenchScale::from_env() {
   BenchScale s;  // default max_log_n raised 20 -> 22 with the tile fast path
   if (const char* v = std::getenv("TOPK_MAX_LOG_N")) {

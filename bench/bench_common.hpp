@@ -28,6 +28,14 @@ RunResult run_algo(const simgpu::DeviceSpec& spec,
                    std::size_t n, std::size_t k, Algo algo,
                    bool verify = false);
 
+/// Check one device result of a bench that runs a plan/run pair itself:
+/// verify_topk over `data`, and on a mismatch print `what` with the error
+/// to stderr and exit(1).
+void verify_or_exit(std::span<const float> data, std::size_t k,
+                    simgpu::DeviceBuffer<float> vals,
+                    simgpu::DeviceBuffer<std::uint32_t> idx,
+                    const std::string& what);
+
 /// Environment-tunable benchmark scale.
 ///
 /// The paper sweeps N up to 2^30 on an A100; the SIMT emulator is ~100x

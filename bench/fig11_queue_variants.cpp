@@ -22,7 +22,7 @@ namespace {
 
 double run_variant(const simgpu::DeviceSpec& spec,
                    const std::vector<float>& values, std::size_t k,
-                   bool shared_queue) {
+                   bool shared_queue, bool verify) {
   simgpu::Device dev(spec);
   simgpu::ScopedWorkspace ws(dev);
   auto in = dev.alloc<float>(values.size());
@@ -33,7 +33,17 @@ double run_variant(const simgpu::DeviceSpec& spec,
   topk::GridSelectOptions o;
   o.shared_queue = shared_queue;
   o.items_per_block = 256 * 1024;  // keep warm-up << steady state per warp
-  topk::grid_select(dev, in, 1, values.size(), k, ov, oi, o);
+  simgpu::WorkspaceLayout layout;
+  const auto plan = topk::grid_select_plan<float>(
+      topk::Shape{1, values.size(), k, false}, spec, o, layout);
+  simgpu::Workspace work(dev);
+  work.bind(layout);
+  topk::grid_select_run(dev, plan, work, in, ov, oi);
+  if (verify) {
+    topk::bench::verify_or_exit(
+        values, k, ov, oi,
+        shared_queue ? "shared queue" : "thread queues");
+  }
   return simgpu::CostModel(spec).total_us(dev.events());
 }
 
@@ -54,8 +64,9 @@ int main() {
 
     const auto report = [&](const char* name, std::size_t k,
                             const std::vector<float>& values) {
-      const double shared = run_variant(spec, values, k, true);
-      const double thread_q = run_variant(spec, values, k, false);
+      const double shared = run_variant(spec, values, k, true, scale.verify);
+      const double thread_q =
+          run_variant(spec, values, k, false, scale.verify);
       std::cout << "fig11," << name << "," << n << "," << k << "," << shared
                 << "," << thread_q << "," << thread_q / shared << "\n";
     };

@@ -117,7 +117,8 @@ int main() {
       ctx.store(d_distances, row, row_distance(ctx, d_vectors, row, squery));
     }
   });
-  topk::grid_select(dev, d_distances, 1, kN, kK, d_out_val, d_out_idx);
+  topk::select_device(dev, d_distances, 1, kN, kK, d_out_val, d_out_idx,
+                      topk::Algo::kGridSelect);
   const std::uint64_t staged_bytes = traffic(dev);
 
   // Both paths must agree with the host reference.

@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
   const std::size_t batch =
       pos.size() > 4 ? std::strtoull(pos[4].c_str(), nullptr, 10) : 1;
 
-  const auto algo = topk::algo_from_string(algo_key);
+  const auto algo = topk::parse_algo(algo_key);
   if (!algo || log_n < 1 || log_n > 26 || k == 0) {
     return usage();
   }

@@ -32,10 +32,6 @@ std::optional<Algo> parse_algo(std::string_view key) {
   return std::nullopt;
 }
 
-std::optional<Algo> algo_from_string(std::string_view key) {
-  return parse_algo(key);
-}
-
 std::span<const Algo> all_algorithms() {
   static constexpr std::array<Algo, 14> kAll = {
       Algo::kAirTopk,      Algo::kGridSelect,  Algo::kRadixSelect,
@@ -379,40 +375,66 @@ ExecutionPlan plan_select(const simgpu::DeviceSpec& spec, std::size_t batch,
   return ExecutionPlan(std::move(impl));
 }
 
-void run_select(simgpu::Device& dev, const ExecutionPlan& plan,
-                simgpu::Workspace& ws, simgpu::DeviceBuffer<float> in,
-                simgpu::DeviceBuffer<float> out_vals,
-                simgpu::DeviceBuffer<std::uint32_t> out_idx) {
-  const PlanImpl& impl = deref_plan(plan.impl_, "run_select");
-  if (impl.u32_carrier) {
+namespace {
+
+/// The run_select body for both carriers.  Largest-K on a row without a
+/// native descending order flips the input into the plan's negated segment
+/// and flips the selected values back: float negation on the f32 carrier,
+/// bitwise complement on the u32 carrier (the monotone order reversal of the
+/// unsigned radix ordinals).  Both flips are their own inverse.
+template <typename Carrier>
+void run_on_carrier(simgpu::Device& dev, const PlanImpl& impl,
+                    simgpu::Workspace& ws, simgpu::DeviceBuffer<Carrier> in,
+                    simgpu::DeviceBuffer<Carrier> out_vals,
+                    simgpu::DeviceBuffer<std::uint32_t> out_idx) {
+  constexpr bool kU32 = std::is_same_v<Carrier, std::uint32_t>;
+  if (impl.u32_carrier != kU32) {
     throw std::invalid_argument(
-        "run_select: this plan executes i32/u32 keys on the u32 carrier; "
-        "use the DeviceBuffer<uint32_t> overload");
+        kU32 ? "run_select: this plan executes on the float carrier; use the "
+               "DeviceBuffer<float> overload"
+             : "run_select: this plan executes i32/u32 keys on the u32 "
+               "carrier; use the DeviceBuffer<uint32_t> overload");
   }
-  const AlgoRow* row = find_algo_row(impl.algo);  // non-null by construction
+  const auto flip = [](Carrier v) -> Carrier {
+    if constexpr (kU32) {
+      return ~v;
+    } else {
+      return -v;
+    }
+  };
   ws.bind(impl.layout);
-  simgpu::DeviceBuffer<float> input = in;
+  simgpu::DeviceBuffer<Carrier> input = in;
   if (impl.negate) {
     const std::size_t total = impl.shape.batch * impl.shape.n;
     if (in.size() < total) {
       throw std::invalid_argument("run_select: input smaller than batch*n");
     }
-    simgpu::DeviceBuffer<float> neg = ws.get<float>(impl.seg_negated);
-    for (std::size_t i = 0; i < total; ++i) neg.data()[i] = -in.data()[i];
+    simgpu::DeviceBuffer<Carrier> neg = ws.get<Carrier>(impl.seg_negated);
+    for (std::size_t i = 0; i < total; ++i) neg.data()[i] = flip(in.data()[i]);
     if (simgpu::Sanitizer* san = dev.sanitizer()) {
       // The host-side copy bypasses the shadow; mark it like an upload so
       // the kernels' reads are not flagged uninitialized.
-      san->mark_initialized(neg.data(), total * sizeof(float));
+      san->mark_initialized(neg.data(), total * sizeof(Carrier));
     }
     input = neg;
   }
-  row->run(dev, impl, ws, input, out_vals, out_idx);
+  run_plan(dev, impl, ws, input, out_vals, out_idx);
   if (impl.negate) {
     const std::size_t out_total = impl.shape.batch * impl.shape.k;
     for (std::size_t i = 0; i < out_total; ++i) {
-      out_vals.data()[i] = -out_vals.data()[i];
+      out_vals.data()[i] = flip(out_vals.data()[i]);
     }
   }
+}
+
+}  // namespace
+
+void run_select(simgpu::Device& dev, const ExecutionPlan& plan,
+                simgpu::Workspace& ws, simgpu::DeviceBuffer<float> in,
+                simgpu::DeviceBuffer<float> out_vals,
+                simgpu::DeviceBuffer<std::uint32_t> out_idx) {
+  run_on_carrier(dev, deref_plan(plan.impl_, "run_select"), ws, in, out_vals,
+                 out_idx);
 }
 
 void run_select(simgpu::Device& dev, const ExecutionPlan& plan,
@@ -420,42 +442,8 @@ void run_select(simgpu::Device& dev, const ExecutionPlan& plan,
                 simgpu::DeviceBuffer<std::uint32_t> in,
                 simgpu::DeviceBuffer<std::uint32_t> out_vals,
                 simgpu::DeviceBuffer<std::uint32_t> out_idx) {
-  const PlanImpl& impl = deref_plan(plan.impl_, "run_select");
-  if (!impl.u32_carrier) {
-    throw std::invalid_argument(
-        "run_select: this plan executes on the float carrier; use the "
-        "DeviceBuffer<float> overload");
-  }
-  const AlgoRow* row = find_algo_row(impl.algo);  // non-null by construction
-  ws.bind(impl.layout);
-  simgpu::DeviceBuffer<std::uint32_t> input = in;
-  if (impl.negate) {
-    // The largest-K wrap on radix ordinals: complement is the monotone
-    // order reversal of the unsigned domain (float negation's counterpart),
-    // and complementing the selected ordinals undoes it exactly.
-    const std::size_t total = impl.shape.batch * impl.shape.n;
-    if (in.size() < total) {
-      throw std::invalid_argument("run_select: input smaller than batch*n");
-    }
-    simgpu::DeviceBuffer<std::uint32_t> neg =
-        ws.get<std::uint32_t>(impl.seg_negated);
-    for (std::size_t i = 0; i < total; ++i) neg.data()[i] = ~in.data()[i];
-    if (simgpu::Sanitizer* san = dev.sanitizer()) {
-      san->mark_initialized(neg.data(), total * sizeof(std::uint32_t));
-    }
-    input = neg;
-  }
-  if (row->run_u32 == nullptr) {
-    throw std::logic_error("run_select: registry row lacks a u32 carrier "
-                           "thunk despite an integer dtype plan");
-  }
-  row->run_u32(dev, impl, ws, input, out_vals, out_idx);
-  if (impl.negate) {
-    const std::size_t out_total = impl.shape.batch * impl.shape.k;
-    for (std::size_t i = 0; i < out_total; ++i) {
-      out_vals.data()[i] = ~out_vals.data()[i];
-    }
-  }
+  run_on_carrier(dev, deref_plan(plan.impl_, "run_select"), ws, in, out_vals,
+                 out_idx);
 }
 
 void select_device(simgpu::Device& dev, simgpu::DeviceBuffer<float> in,

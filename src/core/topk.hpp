@@ -60,12 +60,6 @@ enum class Algo {
 /// nullopt for unknown keys.
 [[nodiscard]] std::optional<Algo> parse_algo(std::string_view key);
 
-/// Parse a short algorithm key ("air", "grid", "radixselect", "warp",
-/// "block", "bitonic", "quick", "bucket", "sample", "sort", "auto") — the
-/// names the CLI and scripts use.  Forwards to parse_algo (so the ablation
-/// variant keys parse here too).  Returns nullopt for unknown keys.
-[[nodiscard]] std::optional<Algo> algo_from_string(std::string_view key);
-
 /// All benchmarkable algorithms in a stable order (main methods first).
 [[nodiscard]] std::span<const Algo> all_algorithms();
 

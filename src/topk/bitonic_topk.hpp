@@ -333,19 +333,4 @@ void bitonic_topk_run(simgpu::Device& dev, const BitonicTopkPlan<T>& plan,
   }
 }
 
-/// One-shot entry point: plan + bind a local workspace + run.
-template <typename T>
-void bitonic_topk(simgpu::Device& dev, simgpu::DeviceBuffer<T> in,
-                  std::size_t batch, std::size_t n, std::size_t k,
-                  simgpu::DeviceBuffer<T> out_vals,
-                  simgpu::DeviceBuffer<std::uint32_t> out_idx,
-                  const BitonicTopkOptions& opt = {}) {
-  simgpu::WorkspaceLayout layout;
-  const auto plan =
-      bitonic_topk_plan<T>(Shape{batch, n, k, false}, dev.spec(), opt, layout);
-  simgpu::Workspace ws(dev);
-  ws.bind(layout);
-  bitonic_topk_run(dev, plan, ws, in, out_vals, out_idx);
-}
-
 }  // namespace topk

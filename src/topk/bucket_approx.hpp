@@ -591,19 +591,4 @@ std::vector<T> bucket_approx_reference(std::span<const T> row, std::size_t k,
   return cand;
 }
 
-/// One-shot entry point: plan + bind + run.
-template <typename T>
-void bucket_approx(simgpu::Device& dev, simgpu::DeviceBuffer<T> in,
-                   std::size_t batch, std::size_t n, std::size_t k,
-                   simgpu::DeviceBuffer<T> out_vals,
-                   simgpu::DeviceBuffer<std::uint32_t> out_idx,
-                   const BucketApproxOptions& opt = {}) {
-  simgpu::WorkspaceLayout layout;
-  const auto plan =
-      bucket_approx_plan<T>(Shape{batch, n, k, false}, dev.spec(), opt, layout);
-  simgpu::Workspace ws(dev);
-  ws.bind(layout);
-  bucket_approx_run(dev, plan, ws, in, out_vals, out_idx);
-}
-
 }  // namespace topk

@@ -607,20 +607,4 @@ void fused_rowwise_run(simgpu::Device& dev, const FusedRowwisePlan<T>& plan,
   }
 }
 
-/// One-shot entry point: plan + bind a local workspace + run.
-template <typename T>
-void fused_rowwise(simgpu::Device& dev, simgpu::DeviceBuffer<T> in,
-                   std::size_t batch, std::size_t n, std::size_t k,
-                   simgpu::DeviceBuffer<T> out_vals,
-                   simgpu::DeviceBuffer<std::uint32_t> out_idx,
-                   bool block_variant, const FusedRowwiseOptions& opt = {}) {
-  simgpu::WorkspaceLayout layout;
-  const auto plan = fused_rowwise_plan<T>(Shape{batch, n, k, false},
-                                          dev.spec(), opt, block_variant,
-                                          layout);
-  simgpu::Workspace ws(dev);
-  ws.bind(layout);
-  fused_rowwise_run(dev, plan, ws, in, out_vals, out_idx);
-}
-
 }  // namespace topk

@@ -539,19 +539,4 @@ void radix_select_run(simgpu::Device& dev, const RadixSelectPlan<T>& plan,
   }
 }
 
-/// One-shot entry point: plan + bind a local workspace + run.
-template <typename T>
-void radix_select(simgpu::Device& dev, simgpu::DeviceBuffer<T> in,
-                  std::size_t batch, std::size_t n, std::size_t k,
-                  simgpu::DeviceBuffer<T> out_vals,
-                  simgpu::DeviceBuffer<std::uint32_t> out_idx,
-                  const RadixSelectOptions& opt = {}) {
-  simgpu::WorkspaceLayout layout;
-  const auto plan =
-      radix_select_plan<T>(Shape{batch, n, k, false}, dev.spec(), opt, layout);
-  simgpu::Workspace ws(dev);
-  ws.bind(layout);
-  radix_select_run(dev, plan, ws, in, out_vals, out_idx);
-}
-
 }  // namespace topk

@@ -422,21 +422,4 @@ void sort_topk_run(simgpu::Device& dev, const SortTopkPlan<T>& plan,
   }
 }
 
-/// One-shot entry point: plan + bind a local workspace + run.  Kept for
-/// direct callers and tests; the registry (core/topk.cpp) and topk::serve
-/// use the two-phase form so plans and workspaces are reused.
-template <typename T>
-void sort_topk(simgpu::Device& dev, simgpu::DeviceBuffer<T> in,
-               std::size_t batch, std::size_t n, std::size_t k,
-               simgpu::DeviceBuffer<T> out_vals,
-               simgpu::DeviceBuffer<std::uint32_t> out_idx,
-               const SortTopkOptions& opt = {}) {
-  simgpu::WorkspaceLayout layout;
-  const auto plan =
-      sort_topk_plan<T>(Shape{batch, n, k, false}, dev.spec(), opt, layout);
-  simgpu::Workspace ws(dev);
-  ws.bind(layout);
-  sort_topk_run(dev, plan, ws, in, out_vals, out_idx);
-}
-
 }  // namespace topk

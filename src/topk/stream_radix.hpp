@@ -604,19 +604,4 @@ void stream_radix_run(simgpu::Device& dev, const StreamRadixPlan<T>& plan,
   }
 }
 
-/// One-shot entry point: plan + bind a local workspace + run.
-template <typename T>
-void stream_radix(simgpu::Device& dev, simgpu::DeviceBuffer<T> in,
-                  std::size_t batch, std::size_t n, std::size_t k,
-                  simgpu::DeviceBuffer<T> out_vals,
-                  simgpu::DeviceBuffer<std::uint32_t> out_idx,
-                  const StreamRadixOptions& opt = {}, bool greatest = false) {
-  simgpu::WorkspaceLayout layout;
-  const auto plan = stream_radix_plan<T>(Shape{batch, n, k, greatest},
-                                         dev.spec(), opt, layout);
-  simgpu::Workspace ws(dev);
-  ws.bind(layout);
-  stream_radix_run(dev, plan, ws, in, out_vals, out_idx);
-}
-
 }  // namespace topk

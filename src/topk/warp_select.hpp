@@ -348,6 +348,14 @@ inline void register_faiss_select_footprints() {
 }
 
 /// Phase 1 of WarpSelect / BlockSelect: validation only (no segments).
+///
+/// WarpSelect (Johnson et al., Faiss; num_warps = 1): one warp per problem,
+/// per-thread register queues, bitonic merge on overflow.  Can process data
+/// on the fly; parallelism is limited to one warp, which is why it collapses
+/// for large N at batch size 1 (paper Fig. 7).
+///
+/// BlockSelect (Faiss; num_warps = 4): WarpSelect extended to one thread
+/// block of 4 warps per problem, still at most one SM per problem.
 template <typename T>
 FaissSelectPlan<T> faiss_select_plan(const Shape& s,
                                      const simgpu::DeviceSpec& /*spec*/,
@@ -537,45 +545,6 @@ void faiss_select_run(simgpu::Device& dev, const FaissSelectPlan<T>& plan,
   });
 }
 
-/// One-shot entry point: plan (no segments) + run.
-template <typename T>
-void faiss_select(simgpu::Device& dev, simgpu::DeviceBuffer<T> in,
-                  std::size_t batch, std::size_t n, std::size_t k,
-                  simgpu::DeviceBuffer<T> out_vals,
-                  simgpu::DeviceBuffer<std::uint32_t> out_idx, int num_warps,
-                  std::string_view kernel_name) {
-  simgpu::WorkspaceLayout layout;
-  const auto plan = faiss_select_plan<T>(Shape{batch, n, k, false},
-                                         dev.spec(), num_warps, kernel_name,
-                                         layout);
-  simgpu::Workspace ws(dev);
-  faiss_select_run(dev, plan, ws, in, out_vals, out_idx);
-}
-
 }  // namespace faiss_detail
-
-/// WarpSelect (Johnson et al., Faiss): one warp per problem, per-thread
-/// register queues, bitonic merge on overflow.  Can process data on the fly;
-/// parallelism is limited to one warp, which is why it collapses for large N
-/// at batch size 1 (paper Fig. 7).
-template <typename T>
-void warp_select(simgpu::Device& dev, simgpu::DeviceBuffer<T> in,
-                 std::size_t batch, std::size_t n, std::size_t k,
-                 simgpu::DeviceBuffer<T> out_vals,
-                 simgpu::DeviceBuffer<std::uint32_t> out_idx) {
-  faiss_detail::faiss_select(dev, in, batch, n, k, out_vals, out_idx, 1,
-                             "WarpSelect");
-}
-
-/// BlockSelect (Faiss): WarpSelect extended to one thread block of 4 warps
-/// per problem, still at most one SM per problem.
-template <typename T>
-void block_select(simgpu::Device& dev, simgpu::DeviceBuffer<T> in,
-                  std::size_t batch, std::size_t n, std::size_t k,
-                  simgpu::DeviceBuffer<T> out_vals,
-                  simgpu::DeviceBuffer<std::uint32_t> out_idx) {
-  faiss_detail::faiss_select(dev, in, batch, n, k, out_vals, out_idx, 4,
-                             "BlockSelect");
-}
 
 }  // namespace topk

@@ -43,8 +43,6 @@ TEST(CoreApi, AlgoKeysRoundTripThroughTheRegistry) {
     const std::optional<Algo> parsed = parse_algo(key);
     ASSERT_TRUE(parsed.has_value()) << key;
     EXPECT_EQ(*parsed, a) << key;
-    // The CLI-facing parser agrees.
-    EXPECT_EQ(algo_from_string(key), a) << key;
   }
   EXPECT_FALSE(parse_algo("definitely-not-an-algorithm").has_value());
   EXPECT_FALSE(parse_algo("").has_value());

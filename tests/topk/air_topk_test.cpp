@@ -144,9 +144,8 @@ TEST(AirTopk, AdaptiveStrategyAvoidsBufferTrafficOnAdversarialData) {
     auto out_v = dev.alloc<float>(100);
     auto out_i = dev.alloc<std::uint32_t>(100);
     dev.clear_events();
-    AirTopkOptions o;
-    o.adaptive = adaptive;
-    air_topk(dev, in, 1, values.size(), 100, out_v, out_i, o);
+    select_device(dev, in, 1, values.size(), 100, out_v, out_i,
+                  adaptive ? Algo::kAirTopk : Algo::kAirTopkNoAdaptive);
     std::uint64_t bytes = 0;
     for (const auto& e : dev.events()) {
       if (const auto* ke = std::get_if<simgpu::KernelEvent>(&e)) {
@@ -177,9 +176,8 @@ TEST(AirTopk, AdaptiveBufferShrinksPeakMemoryFootprint) {
     auto out_v = dev.alloc<float>(100);
     auto out_i = dev.alloc<std::uint32_t>(100);
     dev.reset_peak_live_bytes();
-    AirTopkOptions o;
-    o.adaptive = adaptive;
-    air_topk(dev, in, 1, values.size(), 100, out_v, out_i, o);
+    select_device(dev, in, 1, values.size(), 100, out_v, out_i,
+                  adaptive ? Algo::kAirTopk : Algo::kAirTopkNoAdaptive);
     return dev.peak_live_bytes();
   };
   // Candidate buffers shrink from 2*N values+indices to 2*N/alpha (paper
@@ -198,9 +196,8 @@ TEST(AirTopk, EarlyStoppingReducesWorkWhenKEqualsN) {
     auto out_v = dev.alloc<float>(n);
     auto out_i = dev.alloc<std::uint32_t>(n);
     dev.clear_events();
-    AirTopkOptions o;
-    o.early_stopping = early;
-    air_topk(dev, in, 1, n, n, out_v, out_i, o);
+    select_device(dev, in, 1, n, n, out_v, out_i,
+                  early ? Algo::kAirTopk : Algo::kAirTopkNoEarlyStop);
     std::uint64_t ops = 0;
     for (const auto& e : dev.events()) {
       if (const auto* ke = std::get_if<simgpu::KernelEvent>(&e)) {
@@ -263,7 +260,12 @@ TEST(AirTopk, WorksWithUnsignedKeys) {
   const std::size_t k = 777;
   auto out_v = dev.alloc<std::uint32_t>(k);
   auto out_i = dev.alloc<std::uint32_t>(k);
-  air_topk(dev, in, 1, keys.size(), k, out_v, out_i);
+  simgpu::WorkspaceLayout layout;
+  const auto plan = air_topk_plan<std::uint32_t>(
+      Shape{1, keys.size(), k, false}, dev.spec(), {}, layout);
+  simgpu::Workspace work(dev);
+  work.bind(layout);
+  air_topk_run(dev, plan, work, in, out_v, out_i);
   std::vector<std::uint32_t> got(out_v.data(), out_v.data() + k);
   std::vector<std::uint32_t> want(keys.begin(), keys.end());
   std::nth_element(want.begin(), want.begin() + static_cast<long>(k) - 1,
@@ -282,18 +284,17 @@ TEST(AirTopk, RejectsInvalidArguments) {
   auto in = dev.alloc<float>(100);
   auto out_v = dev.alloc<float>(10);
   auto out_i = dev.alloc<std::uint32_t>(10);
-  EXPECT_THROW(air_topk(dev, in, 1, 100, 0, out_v, out_i),
-               std::invalid_argument);
-  EXPECT_THROW(air_topk(dev, in, 1, 100, 101, out_v, out_i),
-               std::invalid_argument);
-  EXPECT_THROW(air_topk(dev, in, 0, 100, 10, out_v, out_i),
-               std::invalid_argument);
-  EXPECT_THROW(air_topk(dev, in, 1, 100, 11, out_v, out_i),
-               std::invalid_argument);  // outputs too small
-  AirTopkOptions bad;
+  const auto air = [&](std::size_t batch, std::size_t k,
+                       const SelectOptions& opt = {}) {
+    select_device(dev, in, batch, 100, k, out_v, out_i, Algo::kAirTopk, opt);
+  };
+  EXPECT_THROW(air(1, 0), std::invalid_argument);
+  EXPECT_THROW(air(1, 101), std::invalid_argument);
+  EXPECT_THROW(air(0, 10), std::invalid_argument);
+  EXPECT_THROW(air(1, 11), std::invalid_argument);  // outputs too small
+  SelectOptions bad;
   bad.alpha = 2;
-  EXPECT_THROW(air_topk(dev, in, 1, 100, 10, out_v, out_i, bad),
-               std::invalid_argument);
+  EXPECT_THROW(air(1, 10, bad), std::invalid_argument);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "core/topk.hpp"
 #include "data/distributions.hpp"
 #include "topk/key_codec.hpp"
+#include "topk/registry.hpp"
 
 namespace topk {
 namespace {
@@ -285,25 +286,34 @@ TEST_P(TypedBatchedSweep, EveryRowCorrectInOrdinalDomain) {
 }
 
 std::vector<TypedSweepCase> typed_sweep_cases() {
-  // One algorithm per execution family: radixselect runs both carriers,
-  // air covers the iteration-fused path, fused-warp the single-launch
-  // row-wise path (float family only by its dtype mask).
+  // One algorithm per execution family runs the full shape x payload matrix:
+  // radixselect runs both carriers, air covers the iteration-fused path,
+  // fused-warp the single-launch row-wise path (float family only by its
+  // dtype mask).  Every other concrete registry row, ablations included,
+  // runs one shape without payload on each dtype its mask declares, so
+  // every i32/u32-capable row executes on the u32 carrier via run_select.
   const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
       {16, std::size_t{1} << 10},
       {64, std::size_t{1} << 12},
   };
-  const PayloadKind payloads[] = {PayloadKind::kNone, PayloadKind::kU32,
-                                  PayloadKind::kU64};
+  const std::vector<PayloadKind> payloads = {
+      PayloadKind::kNone, PayloadKind::kU32, PayloadKind::kU64};
+  const std::vector<std::pair<std::size_t, std::size_t>> one_shape = {
+      shapes.front()};
+  const std::vector<PayloadKind> no_payload = {PayloadKind::kNone};
   std::vector<TypedSweepCase> cases;
-  for (const Algo algo :
-       {Algo::kRadixSelect, Algo::kAirTopk, Algo::kFusedWarpRowwise}) {
+  for (const AlgoRow& row : kAlgoTable) {
+    if (row.plan == nullptr) continue;  // kAuto resolves to a concrete row
+    const bool full_matrix = row.algo == Algo::kRadixSelect ||
+                             row.algo == Algo::kAirTopk ||
+                             row.algo == Algo::kFusedWarpRowwise;
     for (std::size_t ti = 0; ti < kNumKeyTypes; ++ti) {
       const auto dtype = static_cast<KeyType>(ti);
-      if (!algo_supports_dtype(algo, dtype)) continue;
-      for (const PayloadKind pk : payloads) {
-        for (const auto& [batch, n] : shapes) {
+      if (!algo_supports_dtype(row.algo, dtype)) continue;
+      for (const PayloadKind pk : full_matrix ? payloads : no_payload) {
+        for (const auto& [batch, n] : full_matrix ? shapes : one_shape) {
           for (const bool greatest : {false, true}) {
-            cases.push_back({algo, dtype, pk, batch, n, 32, greatest});
+            cases.push_back({row.algo, dtype, pk, batch, n, 32, greatest});
           }
         }
       }

@@ -195,9 +195,9 @@ TEST(BucketApproxContract, BoundaryTiesAndDuplicates) {
     simgpu::Device dev;
     SelectOptions opt;
     opt.greatest = greatest;
-    // Route the explicit shape through the one-shot entry (SelectOptions
-    // cannot carry bucket overrides); negate host-side for greatest, the
-    // same wrap run_select applies.
+    // Plan the explicit shape with the tier's own plan/run pair
+    // (SelectOptions cannot carry bucket overrides); negate host-side for
+    // greatest, the same wrap run_select applies.
     std::vector<float> input = values;
     if (greatest) {
       for (auto& v : input) v = -v;
@@ -206,7 +206,12 @@ TEST(BucketApproxContract, BoundaryTiesAndDuplicates) {
     std::copy(input.begin(), input.end(), in.data());
     auto out_vals = dev.alloc<float>(k);
     auto out_idx = dev.alloc<std::uint32_t>(k);
-    bucket_approx(dev, in, 1, n, k, out_vals, out_idx, bopt);
+    simgpu::WorkspaceLayout layout;
+    const auto plan = bucket_approx_plan<float>(Shape{1, n, k, false},
+                                                dev.spec(), bopt, layout);
+    simgpu::Workspace ws(dev);
+    ws.bind(layout);
+    bucket_approx_run(dev, plan, ws, in, out_vals, out_idx);
 
     const auto expect = bucket_approx_reference(
         std::span<const float>(input), k, shape.chunks, shape.keep);
@@ -240,7 +245,12 @@ TEST(BucketApproxContract, DirectEmitMode) {
   auto out_vals = dev.alloc<float>(k);
   auto out_idx = dev.alloc<std::uint32_t>(k);
   dev.clear_events();
-  bucket_approx(dev, in, 1, n, k, out_vals, out_idx, bopt);
+  simgpu::WorkspaceLayout layout;
+  const auto plan =
+      bucket_approx_plan<float>(Shape{1, n, k, false}, dev.spec(), bopt, layout);
+  simgpu::Workspace ws(dev);
+  ws.bind(layout);
+  bucket_approx_run(dev, plan, ws, in, out_vals, out_idx);
 
   std::size_t launches = 0;
   for (const auto& e : dev.events()) {

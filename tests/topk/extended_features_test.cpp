@@ -68,7 +68,12 @@ TEST(Half, AirTopkSelectsSmallestHalves) {
   std::copy(data.begin(), data.end(), in.data());
   auto ov = dev.alloc<half>(k);
   auto oi = dev.alloc<std::uint32_t>(k);
-  air_topk(dev, in, 1, n, k, ov, oi);
+  simgpu::WorkspaceLayout layout;
+  const auto plan =
+      air_topk_plan<half>(Shape{1, n, k, false}, dev.spec(), {}, layout);
+  simgpu::Workspace work(dev);
+  work.bind(layout);
+  air_topk_run(dev, plan, work, in, ov, oi);
 
   std::vector<float> got(k), want;
   for (std::size_t i = 0; i < k; ++i) got[i] = static_cast<float>(ov.data()[i]);
@@ -98,7 +103,12 @@ TEST(Half, TwoRadixPassesSuffice) {
   auto ov = dev.alloc<half>(10);
   auto oi = dev.alloc<std::uint32_t>(10);
   dev.clear_events();
-  air_topk(dev, in, 1, data.size(), 10, ov, oi);
+  simgpu::WorkspaceLayout layout;
+  const auto plan = air_topk_plan<half>(Shape{1, data.size(), 10, false},
+                                        dev.spec(), {}, layout);
+  simgpu::Workspace work(dev);
+  work.bind(layout);
+  air_topk_run(dev, plan, work, in, ov, oi);
   std::size_t fused = 0;
   for (const auto& e : dev.events()) {
     if (const auto* ke = std::get_if<simgpu::KernelEvent>(&e)) {
@@ -119,13 +129,18 @@ TEST(InputIndices, ChainedSelectionKeepsOriginalIds) {
   std::copy(values.begin(), values.end(), in.data());
   auto coarse_v = dev.alloc<float>(m);
   auto coarse_i = dev.alloc<std::uint32_t>(m);
-  air_topk(dev, in, 1, n, m, coarse_v, coarse_i);
+  select_device(dev, in, 1, n, m, coarse_v, coarse_i, Algo::kAirTopk);
 
   auto fine_v = dev.alloc<float>(k);
   auto fine_i = dev.alloc<std::uint32_t>(k);
   AirTopkOptions opt;
   opt.in_idx = coarse_i;
-  air_topk(dev, coarse_v, 1, m, k, fine_v, fine_i, opt);
+  simgpu::WorkspaceLayout layout;
+  const auto plan =
+      air_topk_plan<float>(Shape{1, m, k, false}, dev.spec(), opt, layout);
+  simgpu::Workspace work(dev);
+  work.bind(layout);
+  air_topk_run(dev, plan, work, coarse_v, fine_v, fine_i);
 
   SelectResult r;
   r.values.assign(fine_v.data(), fine_v.data() + k);
@@ -149,7 +164,12 @@ TEST(InputIndices, GridSelectHonorsExternalIds) {
   auto oi = dev.alloc<std::uint32_t>(k);
   GridSelectOptions opt;
   opt.in_idx = ids;
-  grid_select(dev, in, 1, n, k, ov, oi, opt);
+  simgpu::WorkspaceLayout layout;
+  const auto plan =
+      grid_select_plan<float>(Shape{1, n, k, false}, dev.spec(), opt, layout);
+  simgpu::Workspace work(dev);
+  work.bind(layout);
+  grid_select_run(dev, plan, work, in, ov, oi);
   for (std::size_t i = 0; i < k; ++i) {
     const std::uint32_t ext = oi.data()[i];
     EXPECT_EQ((ext - 3) % 7, 0u);
@@ -166,9 +186,9 @@ TEST(NativeGreatest, AirComplementedKeysSelectLargest) {
   const std::size_t k = 333;
   auto ov = dev.alloc<float>(k);
   auto oi = dev.alloc<std::uint32_t>(k);
-  AirTopkOptions opt;
+  SelectOptions opt;
   opt.greatest = true;
-  air_topk(dev, in, 1, values.size(), k, ov, oi, opt);
+  select_device(dev, in, 1, values.size(), k, ov, oi, Algo::kAirTopk, opt);
 
   std::vector<float> got(ov.data(), ov.data() + k);
   std::vector<float> want(values.begin(), values.end());

@@ -32,16 +32,24 @@ std::vector<T> reference_smallest(const std::vector<T>& data, std::size_t k) {
   return want;
 }
 
-template <typename T, typename Fn>
-void check_algo(const std::vector<T>& data, std::size_t k, Fn&& run,
-                const char* what) {
+/// Plan the problem with `plan` (shape, spec, layout) -> plan, bind its
+/// workspace and execute it with the matching `run`: the kernels' own
+/// two-phase pair, instantiated at key types the registry never reaches.
+template <typename T, typename PlanFn, typename RunFn>
+void check_algo(const std::vector<T>& data, std::size_t k, PlanFn&& plan,
+                RunFn&& run, const char* what) {
   simgpu::Device dev;
-  simgpu::ScopedWorkspace ws(dev);
+  simgpu::ScopedWorkspace scope(dev);
   auto in = dev.alloc<T>(data.size());
   std::copy(data.begin(), data.end(), in.data());
   auto ov = dev.alloc<T>(k);
   auto oi = dev.alloc<std::uint32_t>(k);
-  run(dev, in, data.size(), k, ov, oi);
+  simgpu::WorkspaceLayout layout;
+  const auto planned =
+      plan(Shape{1, data.size(), k, false}, dev.spec(), layout);
+  simgpu::Workspace ws(dev);
+  ws.bind(layout);
+  run(dev, planned, ws, in, ov, oi);
   std::vector<T> got(ov.data(), ov.data() + k);
   std::sort(got.begin(), got.end());
   EXPECT_EQ(got, reference_smallest(data, k)) << what;
@@ -91,10 +99,12 @@ TEST(RadixTraits, MonotoneForAllSupportedTypes) {
 
 TEST(GenericKeys, AirTopkOnSignedInts) {
   const auto data = random_ints<std::int32_t>(50000, 2);
-  check_algo<std::int32_t>(data, 321,
-                           [](auto& dev, auto in, auto n, auto k, auto ov,
-                              auto oi) { air_topk(dev, in, 1, n, k, ov, oi); },
-                           "air int32");
+  check_algo<std::int32_t>(
+      data, 321,
+      [](const Shape& s, const auto& spec, auto& layout) {
+        return air_topk_plan<std::int32_t>(s, spec, {}, layout);
+      },
+      air_topk_run<std::int32_t>, "air int32");
 }
 
 TEST(GenericKeys, AirTopkOnDoubles) {
@@ -103,41 +113,42 @@ TEST(GenericKeys, AirTopkOnDoubles) {
   std::normal_distribution<double> dist(0.0, 1e6);
   std::vector<double> data(20000);
   for (auto& v : data) v = dist(rng);
-  check_algo<double>(data, 100,
-                     [](auto& dev, auto in, auto n, auto k, auto ov, auto oi) {
-                       air_topk(dev, in, 1, n, k, ov, oi);
-                     },
-                     "air double");
+  check_algo<double>(
+      data, 100,
+      [](const Shape& s, const auto& spec, auto& layout) {
+        return air_topk_plan<double>(s, spec, {}, layout);
+      },
+      air_topk_run<double>, "air double");
 }
 
 TEST(GenericKeys, RadixSelectOnUnsignedInts) {
   const auto data = data::uniform_u32(40000, 4);
   check_algo<std::uint32_t>(
       data, 99,
-      [](auto& dev, auto in, auto n, auto k, auto ov, auto oi) {
-        radix_select(dev, in, 1, n, k, ov, oi);
+      [](const Shape& s, const auto& spec, auto& layout) {
+        return radix_select_plan<std::uint32_t>(s, spec, {}, layout);
       },
-      "radix_select u32");
+      radix_select_run<std::uint32_t>, "radix_select u32");
 }
 
 TEST(GenericKeys, SortOnUnsignedInts) {
   const auto data = data::uniform_u32(30000, 5);
   check_algo<std::uint32_t>(
       data, 1000,
-      [](auto& dev, auto in, auto n, auto k, auto ov, auto oi) {
-        sort_topk(dev, in, 1, n, k, ov, oi);
+      [](const Shape& s, const auto& spec, auto& layout) {
+        return sort_topk_plan<std::uint32_t>(s, spec, {}, layout);
       },
-      "sort u32");
+      sort_topk_run<std::uint32_t>, "sort u32");
 }
 
 TEST(GenericKeys, GridSelectOnSignedInts) {
   const auto data = random_ints<std::int32_t>(60000, 6);
   check_algo<std::int32_t>(
       data, 64,
-      [](auto& dev, auto in, auto n, auto k, auto ov, auto oi) {
-        grid_select(dev, in, 1, n, k, ov, oi);
+      [](const Shape& s, const auto& spec, auto& layout) {
+        return grid_select_plan<std::int32_t>(s, spec, {}, layout);
       },
-      "grid_select int32");
+      grid_select_run<std::int32_t>, "grid_select int32");
 }
 
 TEST(GenericKeys, WarpSelectOnDoubles) {
@@ -145,21 +156,23 @@ TEST(GenericKeys, WarpSelectOnDoubles) {
   std::normal_distribution<double> dist(0.0, 10.0);
   std::vector<double> data(8000);
   for (auto& v : data) v = dist(rng);
-  check_algo<double>(data, 40,
-                     [](auto& dev, auto in, auto n, auto k, auto ov, auto oi) {
-                       warp_select(dev, in, 1, n, k, ov, oi);
-                     },
-                     "warp_select double");
+  check_algo<double>(
+      data, 40,
+      [](const Shape& s, const auto& spec, auto& layout) {
+        return faiss_detail::faiss_select_plan<double>(s, spec, 1,
+                                                       "WarpSelect", layout);
+      },
+      faiss_detail::faiss_select_run<double>, "warp_select double");
 }
 
 TEST(GenericKeys, BitonicTopkOnUnsignedInts) {
   const auto data = data::uniform_u32(20000, 8);
   check_algo<std::uint32_t>(
       data, 128,
-      [](auto& dev, auto in, auto n, auto k, auto ov, auto oi) {
-        bitonic_topk(dev, in, 1, n, k, ov, oi);
+      [](const Shape& s, const auto& spec, auto& layout) {
+        return bitonic_topk_plan<std::uint32_t>(s, spec, {}, layout);
       },
-      "bitonic u32");
+      bitonic_topk_run<std::uint32_t>, "bitonic u32");
 }
 
 }  // namespace

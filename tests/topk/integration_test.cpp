@@ -68,9 +68,9 @@ TEST(Integration, AirAlphaExtremesStayCorrect) {
     std::copy(values.begin(), values.end(), in.data());
     auto ov = dev.alloc<float>(500);
     auto oi = dev.alloc<std::uint32_t>(500);
-    AirTopkOptions opt;
+    SelectOptions opt;
     opt.alpha = alpha;
-    air_topk(dev, in, 1, values.size(), 500, ov, oi, opt);
+    select_device(dev, in, 1, values.size(), 500, ov, oi, Algo::kAirTopk, opt);
     SelectResult r;
     r.values.assign(ov.data(), ov.data() + 500);
     r.indices.assign(oi.data(), oi.data() + 500);
@@ -81,15 +81,13 @@ TEST(Integration, AirAlphaExtremesStayCorrect) {
 TEST(Integration, AirDigitWidthsAllCorrectWithExpectedPassCounts) {
   simgpu::Device dev;
   const auto values = data::uniform_values(1 << 15, 9);
+  const Shape shape{1, values.size(), 100, false};
   {
     // 2^16-counter histogram cannot fit in shared memory (§3.1 constraint).
-    simgpu::ScopedWorkspace ws(dev);
-    auto in = dev.alloc<float>(values.size());
-    auto ov = dev.alloc<float>(100);
-    auto oi = dev.alloc<std::uint32_t>(100);
     AirTopkOptions opt;
     opt.digit_bits = 16;
-    EXPECT_THROW(air_topk(dev, in, 1, values.size(), 100, ov, oi, opt),
+    simgpu::WorkspaceLayout layout;
+    EXPECT_THROW((void)air_topk_plan<float>(shape, dev.spec(), opt, layout),
                  std::invalid_argument);
   }
   for (const auto& [bits, passes] :
@@ -102,7 +100,11 @@ TEST(Integration, AirDigitWidthsAllCorrectWithExpectedPassCounts) {
     dev.clear_events();
     AirTopkOptions opt;
     opt.digit_bits = bits;
-    air_topk(dev, in, 1, values.size(), 100, ov, oi, opt);
+    simgpu::WorkspaceLayout layout;
+    const auto plan = air_topk_plan<float>(shape, dev.spec(), opt, layout);
+    simgpu::Workspace work(dev);
+    work.bind(layout);
+    air_topk_run(dev, plan, work, in, ov, oi);
     std::size_t fused = 0;
     for (const auto& e : dev.events()) {
       if (const auto* ke = std::get_if<simgpu::KernelEvent>(&e)) {

@@ -340,9 +340,8 @@ TEST(GridSelect, SharedQueueVariantDoesFewerMergeOpsOnSkewedData) {
     auto ov = dev.alloc<float>(64);
     auto oi = dev.alloc<std::uint32_t>(64);
     dev.clear_events();
-    GridSelectOptions o;
-    o.shared_queue = shared;
-    grid_select(dev, in, 1, values.size(), 64, ov, oi, o);
+    select_device(dev, in, 1, values.size(), 64, ov, oi,
+                  shared ? Algo::kGridSelect : Algo::kGridSelectThreadQueue);
     std::uint64_t ops = 0;
     for (const auto& e : dev.events()) {
       if (const auto* ke = std::get_if<simgpu::KernelEvent>(&e)) {

@@ -40,8 +40,8 @@ std::vector<T> reference_best(std::span<const T> data, std::size_t k,
   return want;
 }
 
-/// Drive stream_radix() directly with an artificially small chunk target so
-/// the union-fold path runs many times at test-sized n.
+/// Drive the stream_radix plan/run pair directly with an artificially small
+/// chunk target so the union-fold path runs many times at test-sized n.
 template <typename T>
 void check_direct(const std::vector<T>& data, std::size_t batch,
                   std::size_t n, std::size_t k, bool greatest,
@@ -56,7 +56,12 @@ void check_direct(const std::vector<T>& data, std::size_t batch,
   auto oi = dev.alloc<std::uint32_t>(batch * k);
   StreamRadixOptions opt;
   opt.chunk_target = chunk_target;
-  stream_radix<T>(dev, in, batch, n, k, ov, oi, opt, greatest);
+  simgpu::WorkspaceLayout layout;
+  const auto plan = stream_radix_plan<T>(Shape{batch, n, k, greatest},
+                                         dev.spec(), opt, layout);
+  simgpu::Workspace ws(dev);
+  ws.bind(layout);
+  stream_radix_run(dev, plan, ws, in, ov, oi);
   for (std::size_t b = 0; b < batch; ++b) {
     const std::span<const T> row(data.data() + b * n, n);
     std::vector<T> got(ov.data() + b * k, ov.data() + (b + 1) * k);
