@@ -219,15 +219,23 @@ Algo resolve_algo(Algo algo, std::size_t n, std::size_t k, std::size_t batch,
                       dtype);
 }
 
-void sort_result_best_first(SelectResult& r, bool greatest,
-                            std::vector<std::uint32_t>& order_scratch) {
-  const std::size_t k = r.values.size();
+namespace {
+
+/// Best-first reorder of one row in the carrier domain: carrier order equals
+/// key order for every dtype (total, NaN-safe for f16/bf16 ordinals), so
+/// sorting BEFORE decode avoids the float-comparison hazards a decoded sort
+/// would reintroduce.  Permutes values, indices and (when present) payload.
+template <typename Carrier>
+void sort_row_best_first(std::vector<Carrier>& vals,
+                         std::vector<std::uint32_t>& idx,
+                         std::vector<std::uint64_t>& payload, bool greatest,
+                         std::vector<std::uint32_t>& order_scratch) {
+  const std::size_t k = vals.size();
   order_scratch.resize(k);
   std::iota(order_scratch.begin(), order_scratch.end(), 0U);
   std::sort(order_scratch.begin(), order_scratch.end(),
             [&](std::uint32_t a, std::uint32_t b) {
-              return greatest ? r.values[a] > r.values[b]
-                              : r.values[a] < r.values[b];
+              return greatest ? vals[b] < vals[a] : vals[a] < vals[b];
             });
   // Apply the permutation in place (dest[i] = src[order[i]]): chase each
   // source slot through the already-swapped prefix, then swap it into
@@ -236,10 +244,19 @@ void sort_result_best_first(SelectResult& r, bool greatest,
     std::size_t j = order_scratch[i];
     while (j < i) j = order_scratch[j];
     if (j != i) {
-      std::swap(r.values[i], r.values[j]);
-      std::swap(r.indices[i], r.indices[j]);
+      std::swap(vals[i], vals[j]);
+      std::swap(idx[i], idx[j]);
+      if (!payload.empty()) std::swap(payload[i], payload[j]);
     }
   }
+}
+
+}  // namespace
+
+void sort_result_best_first(SelectResult& r, bool greatest,
+                            std::vector<std::uint32_t>& order_scratch) {
+  sort_row_best_first(r.values, r.indices, r.payload, greatest,
+                      order_scratch);
 }
 
 namespace {
@@ -477,6 +494,18 @@ void throw_if_new_issues(const simgpu::Sanitizer& san,
   throw std::runtime_error(err.str());
 }
 
+SimcheckGuard::SimcheckGuard(simgpu::Device& dev) {
+  if (simcheck_env_enabled() && dev.sanitizer() == nullptr) {
+    dev.enable_sanitizer();
+  }
+  san_ = dev.sanitizer();
+  issues_before_ = san_ != nullptr ? san_->issue_count() : 0;
+}
+
+void SimcheckGuard::check(Algo algo) const {
+  if (san_ != nullptr) throw_if_new_issues(*san_, issues_before_, algo);
+}
+
 namespace {
 
 /// Host-entry-point argument validation with messages that name the caller
@@ -539,52 +568,40 @@ simgpu::DeviceBuffer<T> bind_input(simgpu::Device& dev,
   return in;
 }
 
-/// Best-first reorder in the carrier domain: carrier order equals key order
-/// for every dtype (total, NaN-safe for f16/bf16 ordinals), so sorting
-/// BEFORE decode avoids the float-comparison hazards a decoded sort would
-/// reintroduce.  Permutes values, indices and (when present) payload.
+/// The select()/select_batch() body on one carrier: float (f32/f16/bf16) or
+/// uint32_t (i32/u32).  Runs the carrier-typed plan, then gathers payloads,
+/// reorders and decodes per row back to `keys.dtype`.
 template <typename Carrier>
-void sort_carrier_row_best_first(std::vector<Carrier>& vals,
-                                 std::vector<std::uint32_t>& idx,
-                                 std::vector<std::uint64_t>& payload,
-                                 bool greatest,
-                                 std::vector<std::uint32_t>& order_scratch) {
-  const std::size_t k = vals.size();
-  order_scratch.resize(k);
-  std::iota(order_scratch.begin(), order_scratch.end(), 0U);
-  std::sort(order_scratch.begin(), order_scratch.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return greatest ? vals[b] < vals[a] : vals[a] < vals[b];
-            });
-  for (std::size_t i = 0; i < k; ++i) {
-    std::size_t j = order_scratch[i];
-    while (j < i) j = order_scratch[j];
-    if (j != i) {
-      std::swap(vals[i], vals[j]);
-      std::swap(idx[i], idx[j]);
-      if (!payload.empty()) std::swap(payload[i], payload[j]);
+std::vector<SelectResult> run_typed(simgpu::Device& dev, KeyView keys,
+                                    std::size_t batch, std::size_t n,
+                                    std::size_t k, Algo algo,
+                                    const SelectOptions& opt,
+                                    PayloadView payload) {
+  const KeyType dtype = keys.dtype;
+  // f32 and u32 keys are their own carrier and are bound in place; other
+  // dtypes are encoded into a host copy of the batch*n keys the problem
+  // uses (the view may be larger; validate_select_args checked it is not
+  // smaller).
+  const KeyView used{dtype, keys.data, batch * n};
+  std::vector<Carrier> encoded;
+  std::span<const Carrier> carrier;
+  if (dtype == KeyType::kF32 || dtype == KeyType::kU32) {
+    carrier = {static_cast<const Carrier*>(keys.data), used.size};
+  } else {
+    encoded.resize(used.size);
+    if constexpr (std::is_same_v<Carrier, float>) {
+      codec::encode_keys_f32(used, encoded.data());
+    } else {
+      codec::encode_keys_u32(used, encoded.data());
     }
+    carrier = encoded;
   }
-}
-
-/// Typed execution on a carrier domain: upload the encoded keys, run the
-/// carrier-typed plan, then gather payloads and decode per row.  Carrier is
-/// float (f32/f16/bf16) or uint32_t (i32/u32); `dtype` is the user-facing
-/// key type the codec decodes back to.
-template <typename Carrier>
-std::vector<SelectResult> run_carrier_on_device(
-    simgpu::Device& dev, std::span<const Carrier> encoded, KeyType dtype,
-    std::size_t batch, std::size_t n, std::size_t k, Algo algo,
-    const SelectOptions& opt, PayloadView payload) {
+  // Resolve auto dispatch up front so sanitizer issue attribution names the
+  // concrete algorithm that actually runs.
   algo = resolve_algo(dev.spec(), algo, n, k, batch, opt.recall_target, dtype);
-  if (simcheck_env_enabled() && dev.sanitizer() == nullptr) {
-    dev.enable_sanitizer();
-  }
-  simgpu::Sanitizer* const san = dev.sanitizer();
-  const std::size_t issues_before = san != nullptr ? san->issue_count() : 0;
-
+  const SimcheckGuard simcheck(dev);
   simgpu::ScopedWorkspace scoped(dev);
-  const auto in = bind_input(dev, encoded.first(batch * n));
+  const auto in = bind_input(dev, carrier);
   auto out_vals = dev.alloc<Carrier>(batch * k, "select output vals");
   auto out_idx = dev.alloc<std::uint32_t>(batch * k, "select output idx");
   SelectOptions topt = opt;
@@ -592,16 +609,17 @@ std::vector<SelectResult> run_carrier_on_device(
   const ExecutionPlan plan =
       plan_select(dev.spec(), batch, n, k, algo, topt);
   simgpu::Workspace ws(dev);
+  // run_select handles largest-K uniformly (natively where the row has a
+  // descending order, via the negate wrap otherwise), so out_vals already
+  // holds values in the requested order.
   run_select(dev, plan, ws, in, out_vals, out_idx);
-  if (san != nullptr) {
-    throw_if_new_issues(*san, issues_before, algo);
-  }
+  simcheck.check(algo);
   std::vector<SelectResult> results(batch);
   std::vector<std::uint32_t> order;  // permutation scratch, shared by rows
-  std::vector<Carrier> cvals;
   for (std::size_t b = 0; b < batch; ++b) {
     SelectResult& r = results[b];
-    cvals.assign(out_vals.data() + b * k, out_vals.data() + (b + 1) * k);
+    std::vector<Carrier> vals(out_vals.data() + b * k,
+                              out_vals.data() + (b + 1) * k);
     r.indices.assign(out_idx.data() + b * k, out_idx.data() + (b + 1) * k);
     if (payload.present()) {
       r.payload.resize(k);
@@ -610,90 +628,34 @@ std::vector<SelectResult> run_carrier_on_device(
       }
     }
     if (opt.sorted) {
-      sort_carrier_row_best_first(cvals, r.indices, r.payload, opt.greatest,
-                                  order);
+      sort_row_best_first(vals, r.indices, r.payload, opt.greatest, order);
     }
     if constexpr (std::is_same_v<Carrier, float>) {
-      r.values.assign(cvals.begin(), cvals.end());
+      r.values = std::move(vals);
       codec::decode_result_f32(dtype, r);
     } else {
-      codec::decode_result_u32(dtype, cvals, r);
+      codec::decode_result_u32(dtype, vals, r);
     }
   }
   return results;
 }
 
-/// Typed dispatch: encode the KeyView into its carrier domain and execute.
-std::vector<SelectResult> run_typed_on_device(simgpu::Device& dev,
-                                              KeyView keys, std::size_t batch,
-                                              std::size_t n, std::size_t k,
-                                              Algo algo,
-                                              const SelectOptions& opt,
-                                              PayloadView payload) {
-  // Encode exactly the batch*n keys the problem consumes (the view may be
-  // larger; validate_select_args has already checked it is not smaller).
-  const KeyView used{keys.dtype, keys.data, batch * n};
-  if (codec::uses_u32_carrier(keys.dtype)) {
-    std::vector<std::uint32_t> enc(batch * n);
-    codec::encode_keys_u32(used, enc.data());
-    return run_carrier_on_device<std::uint32_t>(
-        dev, std::span<const std::uint32_t>(enc), keys.dtype, batch, n, k,
-        algo, opt, payload);
-  }
-  std::vector<float> enc(batch * n);
-  codec::encode_keys_f32(used, enc.data());
-  return run_carrier_on_device<float>(dev, std::span<const float>(enc),
-                                      keys.dtype, batch, n, k, algo, opt,
-                                      payload);
-}
-
-std::vector<SelectResult> run_on_device(simgpu::Device& dev,
-                                        std::span<const float> data,
-                                        std::size_t batch, std::size_t n,
-                                        std::size_t k, Algo algo,
-                                        const SelectOptions& opt) {
-  // Resolve auto dispatch up front so sanitizer issue attribution names the
-  // concrete algorithm that actually runs.
-  algo = resolve_algo(dev.spec(), algo, n, k, batch, opt.recall_target);
-  // Enable checking before the input/output allocations so they are known
-  // to the shadow (attribution + uninitialized-read tracking end to end).
-  if (simcheck_env_enabled() && dev.sanitizer() == nullptr) {
-    dev.enable_sanitizer();
-  }
-  simgpu::Sanitizer* const san = dev.sanitizer();
-  const std::size_t issues_before = san != nullptr ? san->issue_count() : 0;
-
-  simgpu::ScopedWorkspace ws(dev);
-  const auto in = bind_input(dev, data.first(batch * n));
-  auto out_vals = dev.alloc<float>(batch * k, "select output vals");
-  auto out_idx = dev.alloc<std::uint32_t>(batch * k, "select output idx");
-  // select_device handles largest-K uniformly (natively for AIR, via the
-  // registry's negate wrap for everything else), so out_vals already holds
-  // values in the requested order.
-  select_device(dev, in, batch, n, k, out_vals, out_idx, algo, opt);
-  if (san != nullptr) {
-    // Only issues raised by THIS selection abort it; a long-lived Device
-    // whose report already holds findings from earlier runs keeps working.
-    throw_if_new_issues(*san, issues_before, algo);
-  }
-  std::vector<SelectResult> results(batch);
-  std::vector<std::uint32_t> order;  // permutation scratch, shared by rows
-  for (std::size_t b = 0; b < batch; ++b) {
-    SelectResult& r = results[b];
-    r.values.assign(out_vals.data() + b * k, out_vals.data() + (b + 1) * k);
-    r.indices.assign(out_idx.data() + b * k, out_idx.data() + (b + 1) * k);
-    if (opt.sorted) sort_result_best_first(r, opt.greatest, order);
-  }
-  return results;
+std::vector<SelectResult> run_select_keys(simgpu::Device& dev, KeyView keys,
+                                          std::size_t batch, std::size_t n,
+                                          std::size_t k, Algo algo,
+                                          const SelectOptions& opt,
+                                          PayloadView payload) {
+  return codec::uses_u32_carrier(keys.dtype)
+             ? run_typed<std::uint32_t>(dev, keys, batch, n, k, algo, opt,
+                                        payload)
+             : run_typed<float>(dev, keys, batch, n, k, algo, opt, payload);
 }
 
 }  // namespace
 
 SelectResult select(simgpu::Device& dev, std::span<const float> data,
                     std::size_t k, Algo algo, const SelectOptions& opt) {
-  validate_select_args("select", data.size(), 1, data.size(), k,
-                       opt.recall_target);
-  return run_on_device(dev, data, 1, data.size(), k, algo, opt).front();
+  return select(dev, KeyView::of(data), k, algo, opt);
 }
 
 std::vector<SelectResult> select_batch(simgpu::Device& dev,
@@ -701,9 +663,7 @@ std::vector<SelectResult> select_batch(simgpu::Device& dev,
                                        std::size_t batch, std::size_t n,
                                        std::size_t k, Algo algo,
                                        const SelectOptions& opt) {
-  validate_select_args("select_batch", data.size(), batch, n, k,
-                       opt.recall_target);
-  return run_on_device(dev, data, batch, n, k, algo, opt);
+  return select_batch(dev, KeyView::of(data), batch, n, k, algo, opt);
 }
 
 SelectResult select(simgpu::Device& dev, KeyView keys, std::size_t k,
@@ -712,7 +672,7 @@ SelectResult select(simgpu::Device& dev, KeyView keys, std::size_t k,
   validate_select_args("select", keys.size, 1, keys.size, k,
                        opt.recall_target);
   validate_payload_arg("select", payload, 1, keys.size);
-  return run_typed_on_device(dev, keys, 1, keys.size, k, algo, opt, payload)
+  return run_select_keys(dev, keys, 1, keys.size, k, algo, opt, payload)
       .front();
 }
 
@@ -724,7 +684,7 @@ std::vector<SelectResult> select_batch(simgpu::Device& dev, KeyView keys,
   validate_select_args("select_batch", keys.size, batch, n, k,
                        opt.recall_target);
   validate_payload_arg("select_batch", payload, batch, n);
-  return run_typed_on_device(dev, keys, batch, n, k, algo, opt, payload);
+  return run_select_keys(dev, keys, batch, n, k, algo, opt, payload);
 }
 
 SelectResult reference_select(std::span<const float> data, std::size_t k) {
@@ -732,6 +692,12 @@ SelectResult reference_select(std::span<const float> data, std::size_t k) {
     std::ostringstream err;
     err << "reference_select: k=" << k << " exceeds TOPK_MAX_K=" << kMaxK
         << " (2^20), the system-wide K ceiling";
+    throw std::invalid_argument(err.str());
+  }
+  if (k == 0 || k > data.size()) {
+    std::ostringstream err;
+    err << "reference_select: k=" << k << " must be in [1, n=" << data.size()
+        << "]";
     throw std::invalid_argument(err.str());
   }
   std::vector<std::uint32_t> order(data.size());
@@ -752,6 +718,10 @@ SelectResult reference_select(std::span<const float> data, std::size_t k) {
 std::string verify_topk(std::span<const float> data, std::size_t k,
                         const SelectResult& result) {
   std::ostringstream err;
+  if (k == 0 || k > data.size()) {
+    err << "k=" << k << " must be in [1, n=" << data.size() << "]";
+    return err.str();
+  }
   if (result.values.size() != k || result.indices.size() != k) {
     err << "size mismatch: got " << result.values.size() << " values, "
         << result.indices.size() << " indices, expected " << k;

@@ -269,11 +269,11 @@ struct SelectResult {
 };
 
 /// Reorder a result best-first in place: ascending values for smallest-K,
-/// descending for largest-K, with values and indices permuted together.
+/// descending for largest-K; values, indices and payload permute together.
 /// `order_scratch` holds the permutation and is resized to k on every call;
 /// batched post-passes hoist one scratch vector outside the row loop so the
 /// sort allocates nothing per row once warm.  Shared by select()'s sorted
-/// option and the serving layer's per-query post-pass.
+/// option, the serving layer's post-pass and the shard coordinator.
 void sort_result_best_first(SelectResult& r, bool greatest,
                             std::vector<std::uint32_t>& order_scratch);
 
@@ -313,7 +313,8 @@ std::vector<SelectResult> select_batch(simgpu::Device& dev,
 /// Typed key-value selection: keys of any KeyType, with an optional payload
 /// gathered alongside the winners (see SelectResult).  opt.dtype is taken
 /// from the KeyView.  The payload, when present, must cover every key
-/// (payload.size == keys.size).
+/// (payload.size == keys.size).  f32 and u32 keys are their own carrier and
+/// are bound in place; f16/bf16/i32 keys are encoded into a host copy.
 SelectResult select(simgpu::Device& dev, KeyView keys, std::size_t k,
                     Algo algo, const SelectOptions& opt = {},
                     PayloadView payload = {});
@@ -438,24 +439,40 @@ void select_device(simgpu::Device& dev, simgpu::DeviceBuffer<float> in,
 
 /// True when the TOPK_SIMCHECK environment variable requests the simcheck
 /// sanitizer (set and neither empty nor "0"); read per call so tests can
-/// toggle it.  When it is set, select()/select_batch() attach a sanitizer to
-/// the Device (if none is attached yet) and abort with std::runtime_error on
-/// any issue the selection raises.
+/// toggle it.
 [[nodiscard]] bool simcheck_env_enabled();
 
 /// Throw std::runtime_error formatting every sanitizer issue recorded after
-/// `issues_before` (the simcheck abort used by select/select_batch, exposed
-/// so the abort path is directly testable).
+/// `issues_before` (SimcheckGuard::check, exposed so it is directly testable).
 void throw_if_new_issues(const simgpu::Sanitizer& san,
                          std::size_t issues_before, Algo algo);
 
-/// Reference result via std::nth_element (for verification).
+/// The simcheck guard of every execution entry point (select/select_batch,
+/// serve's batches, the shard coordinator's shard and merge runs).  Open it
+/// before the run's IO is allocated or bound: on simcheck_env_enabled() it
+/// attaches a sanitizer to `dev` if none is, so the shadow knows the IO.
+/// check() throws only on issues raised since construction, so a Device
+/// holding earlier findings keeps working.  No-ops without a sanitizer.
+class SimcheckGuard {
+ public:
+  explicit SimcheckGuard(simgpu::Device& dev);
+  /// The attached sanitizer, or nullptr when checking is off.
+  [[nodiscard]] simgpu::Sanitizer* sanitizer() const noexcept { return san_; }
+  void check(Algo algo) const;
+
+ private:
+  simgpu::Sanitizer* san_ = nullptr;
+  std::size_t issues_before_ = 0;
+};
+
+/// Reference result via std::nth_element (for verification).  Throws
+/// std::invalid_argument unless 1 <= k <= data.size().
 SelectResult reference_select(std::span<const float> data, std::size_t k);
 
 /// Check that `result` is a correct top-k answer for `data`: indices valid
 /// and distinct, values match data[index], and the value multiset equals the
 /// reference top-k multiset.  Returns an empty string on success, otherwise
-/// a description of the first violation.
+/// a description of the first violation (k outside [1, data.size()] is one).
 std::string verify_topk(std::span<const float> data, std::size_t k,
                         const SelectResult& result);
 

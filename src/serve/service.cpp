@@ -517,23 +517,14 @@ void TopkService::execute_batch(Worker& w, std::size_t worker_id,
       const PlanEntry& entry = it->second;
       planned = entry.plan.algo();
 
-      // Same sanitizer contract as select_batch: enable on request before
-      // the IO segments bind so they are known to the shadow, and abort on
-      // any issue this batch raises (earlier findings keep the device
-      // serving).
-      if (simcheck_env_enabled() && dev.sanitizer() == nullptr) {
-        dev.enable_sanitizer();
-      }
-      simgpu::Sanitizer* const san = dev.sanitizer();
-      const std::size_t issues_before =
-          san != nullptr ? san->issue_count() : 0;
-
+      // Opened before the IO segments bind, as in select_batch.
+      const SimcheckGuard simcheck(dev);
       w.io_ws.bind(entry.io);
       // The batch input IS the bucket's staged buffer: rows were laid out
       // contiguously at submit time, so the device binds them in place —
       // no per-row gather copy on the execution critical path.
       simgpu::DeviceBuffer<float> in(batch.staged.data(), rows * n);
-      if (san != nullptr) {
+      if (simgpu::Sanitizer* const san = simcheck.sanitizer()) {
         // Introduce the externally owned staging storage to the shadow and
         // mark it initialized, exactly as an upload into a fresh device
         // allocation would be.
@@ -548,9 +539,7 @@ void TopkService::execute_batch(Worker& w, std::size_t worker_id,
 
       dev.clear_events();
       run_select(dev, entry.plan, w.algo_ws, in, out_vals, out_idx);
-      if (san != nullptr) {
-        throw_if_new_issues(*san, issues_before, planned);
-      }
+      simcheck.check(planned);
       model_us = simgpu::CostModel(dev.spec()).total_us(dev.events());
 
       results.resize(rows);

@@ -35,6 +35,16 @@ void validate_query(std::size_t n, std::size_t k) {
   throw std::invalid_argument(err.str());
 }
 
+/// kAuto for a query split `shards` ways: the row recommend_algorithm picks
+/// at the per-shard row length (a concrete `algo` passes through).
+Algo resolve_shard_algo(const simgpu::DeviceSpec& spec, Algo algo,
+                        std::size_t n, std::size_t k, std::size_t shards) {
+  if (algo != Algo::kAuto) return algo;
+  WorkloadHints hints;
+  hints.shards = shards;
+  return recommend_algorithm(spec, n, k, hints);
+}
+
 }  // namespace
 
 std::size_t min_shards(std::size_t n, const simgpu::DeviceSpec& spec) {
@@ -53,11 +63,7 @@ double estimated_sharded_cost_us(Algo algo, std::size_t shards,
   shards = std::max<std::size_t>(1, shards);
   devices = std::max<std::size_t>(1, devices);
   const std::size_t n_shard = (n + shards - 1) / shards;
-  if (algo == Algo::kAuto) {
-    WorkloadHints hints;
-    hints.shards = shards;
-    algo = recommend_algorithm(spec, n, k, hints);
-  }
+  algo = resolve_shard_algo(spec, algo, n, k, shards);
   const double rounds =
       static_cast<double>((shards + devices - 1) / devices);
   const double lat = spec.pcie_latency_us;
@@ -115,11 +121,7 @@ ShardedPlan plan_sharded(const simgpu::DeviceSpec& spec, std::size_t n,
   validate_query(n, k);
   shards = std::clamp(shards == 0 ? recommend_shards(n, k, 1, spec) : shards,
                       min_shards(n, spec), max_shards(n, k));
-  if (algo == Algo::kAuto) {
-    WorkloadHints hints;
-    hints.shards = shards;
-    algo = recommend_algorithm(spec, n, k, hints);
-  }
+  algo = resolve_shard_algo(spec, algo, n, k, shards);
 
   ShardedPlan sp;
   sp.shards = shards;
@@ -200,12 +202,8 @@ ShardedResult Coordinator::select(std::span<const float> data, std::size_t k,
       shards != 0 ? shards : recommend_shards(n, k, slots_.size(), spec), lo,
       hi);
 
-  if (algo == Algo::kAuto) algo = cfg_.algo;
-  if (algo == Algo::kAuto) {
-    WorkloadHints hints;
-    hints.shards = S;
-    algo = recommend_algorithm(spec, n, k, hints);
-  }
+  algo = resolve_shard_algo(spec, algo == Algo::kAuto ? cfg_.algo : algo, n,
+                            k, S);
 
   // Largest-K, handled exactly once: shards select the smallest of the
   // negated input, the merged values are negated back below.  Per-shard
@@ -221,14 +219,8 @@ ShardedResult Coordinator::select(std::span<const float> data, std::size_t k,
   shard_opt.alpha = cfg_.options.alpha;
 
   const std::size_t devices_used = std::min(S, slots_.size());
-  const bool simcheck = simcheck_env_enabled();
   const simgpu::CostModel model(spec);
-  for (std::size_t d = 0; d < devices_used; ++d) {
-    if (simcheck && slots_[d]->dev.sanitizer() == nullptr) {
-      slots_[d]->dev.enable_sanitizer();
-    }
-    slots_[d]->dev.clear_events();
-  }
+  for (std::size_t d = 0; d < devices_used; ++d) slots_[d]->dev.clear_events();
 
   const auto plan_for = [&](std::size_t pn, Algo palgo) -> const ExecutionPlan& {
     const auto key = std::make_tuple(pn, k, palgo);
@@ -260,6 +252,8 @@ ShardedResult Coordinator::select(std::span<const float> data, std::size_t k,
         topk::block_chunk(n, static_cast<int>(S), static_cast<int>(s));
     const std::size_t len = end - begin;
     DeviceSlot& slot = *slots_[s % devices_used];
+    // Opened before the slot's IO is allocated, as in select().
+    const SimcheckGuard simcheck(slot.dev);
     if (slot.in_cap < len) {
       slot.in = slot.dev.alloc<float>(len, "shard input");
       slot.in_cap = len;
@@ -274,8 +268,6 @@ ShardedResult Coordinator::select(std::span<const float> data, std::size_t k,
     // (and select()'s own staging), a shard's timed region starts with its
     // slice resident on the device.
     slot.dev.upload(slot.in, src.subspan(begin, len));
-    simgpu::Sanitizer* const san = slot.dev.sanitizer();
-    const std::size_t issues_before = san != nullptr ? san->issue_count() : 0;
     const double before = model.total_us(slot.dev.events());
     run_select(slot.dev, plan, slot.ws, slot.in, slot.out_vals, slot.out_idx);
     const double selected = model.total_us(slot.dev.events());
@@ -288,7 +280,7 @@ ShardedResult Coordinator::select(std::span<const float> data, std::size_t k,
     res.shard_us[s] = gathered - before;
     dev_select_us[s % devices_used] += selected - before;
     dev_gather_us[s % devices_used] += gathered - selected;
-    if (san != nullptr) throw_if_new_issues(*san, issues_before, algo);
+    simcheck.check(algo);
     // Rebase shard-local indices into the query's index space host-side.
     const auto base = static_cast<std::uint32_t>(begin);
     for (std::size_t i = 0; i < k; ++i) cand_idx[s * k + i] += base;
@@ -311,13 +303,12 @@ ShardedResult Coordinator::select(std::span<const float> data, std::size_t k,
   } else {
     DeviceSlot& m = *slots_[0];
     const std::size_t nm = S * k;
+    const SimcheckGuard simcheck(m.dev);
     if (m.merge_cap < nm) {
       m.merge_in = m.dev.alloc<float>(nm, "shard merge candidates");
       m.merge_cap = nm;
     }
     const ExecutionPlan& mplan = plan_for(nm, Algo::kShardMerge);
-    simgpu::Sanitizer* const san = m.dev.sanitizer();
-    const std::size_t issues_before = san != nullptr ? san->issue_count() : 0;
     const double before = model.total_us(m.dev.events());
     m.dev.upload_recorded(m.merge_in, std::span<const float>(cand_vals),
                           "shard candidate gather");
@@ -330,9 +321,7 @@ ShardedResult Coordinator::select(std::span<const float> data, std::size_t k,
                        "merged idx");
     res.timing.merge_us = merged - before;
     res.timing.output_us = model.total_us(m.dev.events()) - merged;
-    if (san != nullptr) {
-      throw_if_new_issues(*san, issues_before, Algo::kShardMerge);
-    }
+    simcheck.check(Algo::kShardMerge);
     // The merge indexes the candidate array; map back through the gathered
     // (already rebased) per-shard indices.
     for (std::size_t i = 0; i < k; ++i) {

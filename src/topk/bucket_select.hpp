@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -368,6 +369,13 @@ void bucket_select_run(simgpu::Device& dev, const BucketSelectPlan<T>& plan,
       dev.copy_to_host(minmax, std::span<T>(host_minmax), "minmax");
       const double lo = static_cast<double>(host_minmax[0]);
       const double hi = static_cast<double>(host_minmax[1]);
+      if (!std::isfinite(lo) || !std::isfinite(hi)) {
+        // An infinite extreme makes the interpolation scale 0 (or NaN): every
+        // key lands in one bucket and the refinement never narrows.
+        throw std::invalid_argument(
+            "BucketSelect: keys must be finite (the min/max interpolation "
+            "cannot bucket +-inf); use another algorithm for such rows");
+      }
       if (!(lo < hi)) {
         // All remaining candidates are identical: any k_rem of them work.
         copy_first(k_rem);

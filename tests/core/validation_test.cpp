@@ -122,5 +122,28 @@ TEST(SelectValidation, AutoHonorsGreatest) {
   }
 }
 
+TEST(ReferenceValidation, ReferenceSelectRejectsKOutsideOneToN) {
+  const std::vector<float> data = {3.0f, 1.0f, 2.0f};
+  const std::string zero = message_of([&] { (void)reference_select(data, 0); });
+  EXPECT_NE(zero.find("reference_select"), std::string::npos) << zero;
+  EXPECT_NE(zero.find("k=0"), std::string::npos) << zero;
+  const std::string over =
+      message_of([&] { (void)reference_select(data, 5); });
+  EXPECT_NE(over.find("k=5"), std::string::npos) << over;
+  EXPECT_NE(over.find("n=3"), std::string::npos) << over;
+  EXPECT_EQ(reference_select(data, 3).values.size(), 3u);
+}
+
+TEST(ReferenceValidation, VerifyTopkRejectsKOutsideOneToN) {
+  const std::vector<float> data = {3.0f, 1.0f, 2.0f};
+  EXPECT_NE(verify_topk(data, 0, SelectResult{}).find("k=0"),
+            std::string::npos);
+  SelectResult five;
+  five.values = {1.0f, 2.0f, 3.0f, 3.0f, 3.0f};
+  five.indices = {1, 2, 0, 0, 0};
+  EXPECT_NE(verify_topk(data, 5, five).find("k=5"), std::string::npos);
+  EXPECT_TRUE(verify_topk(data, 3, reference_select(data, 3)).empty());
+}
+
 }  // namespace
 }  // namespace topk

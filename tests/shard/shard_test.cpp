@@ -264,6 +264,56 @@ TEST(ShardRecommend, HintedRecommendationUsesPerShardShape) {
       << "k beyond the per-shard length must be rejected";
 }
 
+TEST(ShardRecommend, AutoResolvesOneRowAcrossCostPlanAndCoordinator) {
+  // kAuto for S shards is the row recommend_algorithm picks at the per-shard
+  // length, whether the cost estimate, the planner or the coordinator asks.
+  const simgpu::DeviceSpec spec;
+  const std::size_t n = std::size_t{1} << 15, k = 64;
+  const std::vector<float> data = uniform_data(n, 31);
+  for (const std::size_t shards :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    WorkloadHints hints;
+    hints.shards = shards;
+    const Algo expected = recommend_algorithm(spec, n, k, hints);
+    EXPECT_EQ(shard::estimated_sharded_cost_us(Algo::kAuto, shards, 4, n, k,
+                                               spec),
+              shard::estimated_sharded_cost_us(expected, shards, 4, n, k,
+                                               spec));
+    EXPECT_EQ(shard::plan_sharded(spec, n, k, shards, Algo::kAuto).shard_algo,
+              expected);
+    shard::ShardConfig cfg;
+    cfg.device_spec = spec;
+    cfg.shards = shards;
+    shard::Coordinator coord(cfg);
+    const shard::ShardedResult res = coord.select(data, k);
+    EXPECT_EQ(res.shard_algo, expected);
+    expect_exact(data, k, false, res.topk);
+  }
+}
+
+TEST(ShardRecommend, ConcreteAlgoPassesThroughEveryEntryPoint) {
+  const simgpu::DeviceSpec spec;
+  const std::size_t n = std::size_t{1} << 14, k = 32;
+  const std::vector<float> data = uniform_data(n, 32);
+  EXPECT_EQ(
+      shard::plan_sharded(spec, n, k, 4, Algo::kBlockSelect).shard_algo,
+      Algo::kBlockSelect);
+
+  shard::ShardConfig cfg;
+  cfg.shards = 4;
+  cfg.algo = Algo::kAirTopk;
+  shard::Coordinator coord(cfg);
+  // A kAuto query takes the configured row; a concrete query overrides it.
+  const shard::ShardedResult from_cfg = coord.select(data, k);
+  EXPECT_EQ(from_cfg.shard_algo, Algo::kAirTopk);
+  expect_exact(data, k, false, from_cfg.topk);
+  const shard::ShardedResult overridden =
+      coord.select(data, k, 0, Algo::kGridSelect);
+  EXPECT_EQ(overridden.shard_algo, Algo::kGridSelect);
+  expect_exact(data, k, false, overridden.topk);
+}
+
 // ---------------------------------------------------------------------------
 // Modeled scale-out: with a pool of 4 devices, 4 shards must be markedly
 // faster than 1 shard in modeled time (deterministic, not wall clock).

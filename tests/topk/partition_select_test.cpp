@@ -1,4 +1,7 @@
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -71,6 +74,37 @@ TEST(BucketSelect, AllEqualCandidatesAfterFirstSplit) {
   std::vector<float> values(30000, 5.0f);
   for (std::size_t i = 0; i < 10; ++i) values[i * 7] = 1.0f;
   expect_correct(dev, values, 100, Algo::kBucketSelect);
+}
+
+TEST(BucketSelect, RejectsInfiniteKeysInBothOrders) {
+  // An infinite min or max leaves the interpolation nothing to split, so the
+  // row rejects the input instead of iterating forever.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const auto base = data::uniform_values(4096, 31);
+  auto five_neg = base;
+  auto five_pos = base;
+  for (std::size_t i = 0; i < 5; ++i) {
+    five_neg[i * 512] = -kInf;
+    five_pos[i * 512 + 7] = kInf;
+  }
+  std::vector<float> all_pos_but_one(base.size(), kInf);
+  all_pos_but_one[100] = 0.5f;
+  for (const std::vector<float>* values : {&five_neg, &five_pos,
+                                           &all_pos_but_one}) {
+    for (const bool greatest : {false, true}) {
+      simgpu::Device dev;
+      SelectOptions opt;
+      opt.greatest = greatest;
+      try {
+        (void)select(dev, *values, 32, Algo::kBucketSelect, opt);
+        ADD_FAILURE() << "no throw, greatest=" << greatest;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("BucketSelect"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(SampleSelect, DuplicateDominatedInputTriggersPivotFallback) {
