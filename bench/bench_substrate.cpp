@@ -304,7 +304,7 @@ int main(int argc, char** argv) {
   // GridSelect's grid grows with N (more blocks, one shared-queue engine
   // each), so per-block engine state leaking onto the heap shows up as
   // cold_allocs scaling with N.  With the engines drawing from the pooled
-  // slab and the thread-local scratch freelists, the cold count is a small
+  // slab and the scratch freelist, the cold count is a small
   // N-independent constant; allow a little slack for pool slab resizing.
   if (grid_cold.size() >= 2) {
     const std::uint64_t first = grid_cold.front().second;
@@ -324,7 +324,7 @@ int main(int argc, char** argv) {
   // With the memory pool on (the default), a warmed run_select() must touch
   // the heap exactly zero times: the plan precomputes every size and name,
   // the workspace rebinds its retained slab, and the engine scratch comes
-  // from thread-local freelists.  Any nonzero count is a regression in the
+  // from the scratch freelist.  Any nonzero count is a regression in the
   // zero-alloc contract.
   if (simgpu::pool_enabled()) {
     std::uint64_t worst = 0;

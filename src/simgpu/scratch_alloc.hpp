@@ -1,95 +1,41 @@
 #pragma once
 
-#include <array>
-#include <bit>
 #include <cstddef>
-#include <new>
 #include <vector>
 
 namespace simgpu {
 
 namespace scratch_detail {
 
-/// Per-thread freelist of power-of-two byte blocks backing the engines'
-/// host-side scratch vectors (TopkList's merge scratch, the warp engines'
-/// staging queues).  Those vectors are short-lived — constructed inside a
-/// kernel body and destroyed when the block retires — so without pooling
-/// every simulated block pays host-allocator round trips on the hot path,
-/// and the two-phase run() contract (zero allocations in steady state,
-/// gated by bench_substrate's operator-new hook) could never hold for the
-/// partial-sorting family.  With the freelist, the first execution of a
-/// given shape warms the per-thread buckets and every later block reuses
-/// the same blocks; deallocation never calls operator new (push_back into
-/// reserved bucket capacity), so the steady state is allocation-free.
+/// Freelist of power-of-two byte blocks backing the engines' host-side
+/// scratch vectors (TopkList's merge scratch, the warp engines' staging
+/// queues).  Those vectors are short-lived — constructed inside a kernel
+/// body and destroyed when the block retires — so without pooling every
+/// simulated block pays host-allocator round trips on the hot path, and the
+/// two-phase run() contract (zero allocations in steady state, gated by
+/// bench_substrate's operator-new hook) could never hold for the
+/// partial-sorting family.
 ///
-/// The freelist is bounded per size class; overflow blocks are freed
-/// normally.  Blocks may migrate between threads (allocated on one, freed
-/// into another's freelist) — both freelists serve future acquires, and
-/// each freelist is thread-local so there are no races.
+/// Blocks live in a process-wide depot fronted by a per-thread cache.  A
+/// thread's live + cached blocks of one size class never exceed `peak`, the
+/// most any single thread has held live at once, and the depot is
+/// provisioned with ThreadPool::size() x `peak` blocks of the class the
+/// moment a new peak is reached.  Block-to-thread assignment is
+/// nondeterministic, so the provisioning must not depend on which pool
+/// threads happened to run during warm-up: once one execution of a shape
+/// has reached its per-block peak on any thread, every thread of the pool
+/// can run it again concurrently without touching the heap.  Free blocks
+/// are chained through their own first word, so caching and returning a
+/// block never allocates either.
 class Freelist {
  public:
-  static Freelist& instance() {
-    thread_local Freelist fl;
-    return fl;
-  }
-
-  void* take(std::size_t bytes) {
-    auto& bucket = buckets_[size_class(bytes)];
-    if (!bucket.empty()) {
-      void* p = bucket.back();
-      bucket.pop_back();
-      return p;
-    }
-    return ::operator new(class_bytes(size_class(bytes)));
-  }
-
-  void give(void* p, std::size_t bytes) noexcept {
-    auto& bucket = buckets_[size_class(bytes)];
-    if (bucket.size() >= kMaxPerClass) {
-      ::operator delete(p);
-      return;
-    }
-    // Growing the bucket allocates, but that happens O(log) times per
-    // thread and class — never in steady state.
-    bucket.push_back(p);
-  }
-
-  Freelist(const Freelist&) = delete;
-  Freelist& operator=(const Freelist&) = delete;
-
- private:
-  // 2^6 .. 2^31 byte classes; anything larger is served class 31-equivalent
-  // by index clamping below (no engine scratch approaches that size).
-  static constexpr std::size_t kMinShift = 6;
-  static constexpr std::size_t kNumClasses = 26;
-  /// Bound on idle blocks retained per class: must cover the peak number of
-  /// same-sized live vectors per thread (one block's worth of engines, each
-  /// holding a handful of vectors) with headroom.
-  static constexpr std::size_t kMaxPerClass = 64;
-
-  Freelist() = default;
-  ~Freelist() {
-    for (auto& bucket : buckets_) {
-      for (void* p : bucket) ::operator delete(p);
-    }
-  }
-
-  static std::size_t size_class(std::size_t bytes) {
-    const std::size_t rounded = std::bit_ceil(bytes | (std::size_t{1} << kMinShift));
-    const auto cls = static_cast<std::size_t>(std::countr_zero(rounded)) - kMinShift;
-    return cls < kNumClasses ? cls : kNumClasses - 1;
-  }
-
-  static std::size_t class_bytes(std::size_t cls) {
-    return std::size_t{1} << (cls + kMinShift);
-  }
-
-  std::array<std::vector<void*>, kNumClasses> buckets_;
+  static void* take(std::size_t bytes);
+  static void give(void* p, std::size_t bytes) noexcept;
 };
 
 }  // namespace scratch_detail
 
-/// Allocator routing through the per-thread scratch freelist above.  Used
+/// Allocator routing through the scratch freelist above.  Used
 /// for the short-lived per-block scratch vectors of the selection engines so
 /// repeated kernel executions of the same shape perform no host allocations
 /// after warm-up.  Stateless: all instances are interchangeable.
@@ -102,11 +48,10 @@ struct ScratchAlloc {
   ScratchAlloc(const ScratchAlloc<U>&) noexcept {}  // NOLINT(google-explicit-constructor)
 
   [[nodiscard]] T* allocate(std::size_t n) {
-    return static_cast<T*>(
-        scratch_detail::Freelist::instance().take(n * sizeof(T)));
+    return static_cast<T*>(scratch_detail::Freelist::take(n * sizeof(T)));
   }
   void deallocate(T* p, std::size_t n) noexcept {
-    scratch_detail::Freelist::instance().give(p, n * sizeof(T));
+    scratch_detail::Freelist::give(p, n * sizeof(T));
   }
 
   friend bool operator==(const ScratchAlloc&, const ScratchAlloc&) {

@@ -357,6 +357,11 @@ void bucket_select_run(simgpu::Device& dev, const BucketSelectPlan<T>& plan,
                 from_input ? ctx.load(in, prob * n + i) : ctx.load(src_val, i);
             lo = std::min(lo, v);
             hi = std::max(hi, v);
+            if constexpr (std::numeric_limits<T>::has_quiet_NaN) {
+              // min/max skip NaN; report it as an infinite max so the host
+              // rejects the row below instead of bucketing NaN.
+              if (v != v) hi = std::numeric_limits<T>::infinity();
+            }
           }
           ctx.ops(2 * (end - begin));
           if (begin < end) {
@@ -371,10 +376,12 @@ void bucket_select_run(simgpu::Device& dev, const BucketSelectPlan<T>& plan,
       const double hi = static_cast<double>(host_minmax[1]);
       if (!std::isfinite(lo) || !std::isfinite(hi)) {
         // An infinite extreme makes the interpolation scale 0 (or NaN): every
-        // key lands in one bucket and the refinement never narrows.
+        // key lands in one bucket and the refinement never narrows.  A NaN
+        // key reads back as an infinite max (see minmax_reduce).
         throw std::invalid_argument(
             "BucketSelect: keys must be finite (the min/max interpolation "
-            "cannot bucket +-inf); use another algorithm for such rows");
+            "cannot bucket +-inf or NaN); use another algorithm for such "
+            "rows");
       }
       if (!(lo < hi)) {
         // All remaining candidates are identical: any k_rem of them work.

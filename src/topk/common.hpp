@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "simgpu/simgpu.hpp"
+#include "topk/bitonic.hpp"
 
 namespace topk {
 
@@ -132,6 +133,86 @@ inline void copy_pairs(simgpu::BlockCtx& ctx, simgpu::DeviceBuffer<T> src_val,
       ctx.store(dst_val, dst_base + i, ctx.load(src_val, src_base + i));
       ctx.store(dst_idx, dst_base + i, ctx.load(src_idx, src_base + i));
     }
+  }
+}
+
+/// Pull `count` (value, index) pairs from val/idx[base...] into a pair of
+/// views (shared memory or spans), riding the tile path when it is enabled.
+/// Shared-memory accesses are never charged, so writing through the raw
+/// spans (when raw_view allows it) is charge-identical to the proxies.
+template <typename T, typename KS, typename IS>
+void load_list(simgpu::BlockCtx& ctx, simgpu::DeviceBuffer<T> val,
+               simgpu::DeviceBuffer<std::uint32_t> idx, std::size_t base,
+               KS& dst_keys, IS& dst_idx, std::size_t count) {
+  if (simgpu::tile_path_enabled()) {
+    const auto rk = raw_view(dst_keys);
+    const auto ri = raw_view(dst_idx);
+    std::size_t i = 0;
+    while (i < count) {
+      const std::size_t c = std::min(simgpu::kTileElems, count - i);
+      const std::span<const T> tk = ctx.load_tile(val, base + i, c);
+      const std::span<const std::uint32_t> tix = ctx.load_tile(idx, base + i, c);
+      if (!rk.empty() && !ri.empty()) {
+        std::copy(tk.begin(), tk.end(),
+                  rk.begin() + static_cast<std::ptrdiff_t>(i));
+        std::copy(tix.begin(), tix.end(),
+                  ri.begin() + static_cast<std::ptrdiff_t>(i));
+      } else {
+        for (std::size_t u = 0; u < tk.size(); ++u) {
+          dst_keys[i + u] = tk[u];
+          dst_idx[i + u] = tix[u];
+        }
+      }
+      i += c;
+    }
+  } else {
+    for (std::size_t i = 0; i < count; ++i) {
+      dst_keys[i] = ctx.load(val, base + i);
+      dst_idx[i] = ctx.load(idx, base + i);
+    }
+  }
+}
+
+/// Store the first `count` pairs of a pair of views to val/idx[base...],
+/// tile-granular when the tile path is on and the views are raw-accessible.
+template <typename T, typename KS, typename IS>
+void store_list(simgpu::BlockCtx& ctx, const KS& src_keys, const IS& src_idx,
+                simgpu::DeviceBuffer<T> val,
+                simgpu::DeviceBuffer<std::uint32_t> idx, std::size_t base,
+                std::size_t count) {
+  if (simgpu::tile_path_enabled()) {
+    const auto rk = raw_view(src_keys);
+    const auto ri = raw_view(src_idx);
+    if (!rk.empty() && !ri.empty()) {
+      std::size_t i = 0;
+      while (i < count) {
+        const std::size_t c = std::min(simgpu::kTileElems, count - i);
+        ctx.store_tile(val, base + i, std::span<const T>(rk.data() + i, c));
+        ctx.store_tile(idx, base + i,
+                       std::span<const std::uint32_t>(ri.data() + i, c));
+        i += c;
+      }
+      return;
+    }
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    ctx.store(val, base + i, src_keys[i]);
+    ctx.store(idx, base + i, src_idx[i]);
+  }
+}
+
+/// Publish a sorted list of `live` pairs as a `cap`-long partial list at
+/// val/idx[base...], padded with (sentinel, 0) — the per-block or per-warp
+/// partial lists a cross-list merge kernel consumes.
+template <typename T, typename KS, typename IS>
+void publish_padded_list(simgpu::BlockCtx& ctx, const KS& keys, const IS& ids,
+                         simgpu::DeviceBuffer<T> val,
+                         simgpu::DeviceBuffer<std::uint32_t> idx,
+                         std::size_t base, std::size_t live, std::size_t cap) {
+  store_list(ctx, keys, ids, val, idx, base, live);
+  for (std::size_t i = live; i < cap; ++i) {
+    ctx.store(val, base + i, sort_sentinel<T>());
+    ctx.store(idx, base + i, std::uint32_t{0});
   }
 }
 

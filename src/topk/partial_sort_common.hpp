@@ -13,6 +13,7 @@
 #include "simgpu/scratch_alloc.hpp"
 #include "simgpu/simd.hpp"
 #include "topk/bitonic.hpp"
+#include "topk/common.hpp"
 
 
 namespace topk {
@@ -517,7 +518,7 @@ class TopkList {
   std::size_t cap_ = 0;
   // Flush scratch: lives in registers/shared memory on the device, so it is
   // modeled as on-chip (ops only, no DRAM traffic).  All scratch vectors
-  // draw from the per-thread freelist (simgpu::ScratchVec) so repeated
+  // draw from the scratch freelist (simgpu::ScratchVec) so repeated
   // kernel executions perform no host allocations after warm-up — part of
   // the two-phase run() zero-allocation contract.
   simgpu::ScratchVec<T> scratch_keys_;
@@ -539,6 +540,71 @@ class TopkList {
   std::size_t fast_charge_count_ = static_cast<std::size_t>(-1);
   std::uint64_t fast_charge_ = 0;
 };
+
+/// Sort the (key, index) pairs of two equal-length views ascending (a
+/// shared-memory bitonic sort).  Warpfast path for packable keys: charge the
+/// exact data-oblivious network cost and sort packed (key, index) words
+/// host-side — the value sequence is identical to the network's, only the
+/// order of equal keys can differ, which the result contract leaves open
+/// (merge_prune precedent).  Only the first `keep` pairs are then guaranteed
+/// written back.
+template <SortableView KS, SortableView IS>
+void sort_pairs(simgpu::BlockCtx& ctx, KS& keys, IS& idx, std::size_t keep) {
+  using T = typename KS::value_type;
+  if constexpr (kPackableKey<T>) {
+    if (ctx.warpfast_enabled()) {
+      const std::size_t len = keys.size();
+      ctx.ops(bitonic_sort_ops(len));
+      const auto rk = raw_view(keys);
+      const auto rx = raw_view(idx);
+      simgpu::ScratchVec<std::uint64_t> packed;
+      packed.resize(len);
+      if (!rk.empty() && !rx.empty()) {
+        for (std::size_t i = 0; i < len; ++i) {
+          packed[i] = pack_key_idx<T>(rk[i], rx[i]);
+        }
+      } else {
+        for (std::size_t i = 0; i < len; ++i) {
+          packed[i] = pack_key_idx<T>(keys[i], idx[i]);
+        }
+      }
+      std::sort(packed.begin(), packed.end());
+      for (std::size_t i = 0; i < keep; ++i) {
+        keys[i] = ord_to_key<T>(static_cast<std::uint32_t>(packed[i] >> 32));
+        idx[i] = static_cast<std::uint32_t>(packed[i]);
+      }
+      return;
+    }
+  }
+  bitonic_sort(ctx, keys, idx);
+}
+
+/// Kernel body of a partial-list merge: prune the `lists` sorted `cap`-long
+/// lists at part_val/part_idx[src_base...] (laid out back to back) to their
+/// smallest pairs with a chain of merge_prune networks in shared memory, and
+/// store the first `count` to out_vals/out_idx[out_base...].  Within one
+/// list, any pair ranked <= k overall is ranked <= k <= cap in its list, so
+/// pruning each union to cap loses nothing.
+template <typename T>
+void merge_partial_lists(simgpu::BlockCtx& ctx,
+                         simgpu::DeviceBuffer<T> part_val,
+                         simgpu::DeviceBuffer<std::uint32_t> part_idx,
+                         std::size_t src_base, std::size_t lists,
+                         std::size_t cap, simgpu::DeviceBuffer<T> out_vals,
+                         simgpu::DeviceBuffer<std::uint32_t> out_idx,
+                         std::size_t out_base, std::size_t count) {
+  auto acc_keys = ctx.shared<T>(cap, "merge acc keys");
+  auto acc_idx = ctx.shared<std::uint32_t>(cap, "merge acc idx");
+  auto tmp_keys = ctx.shared<T>(cap, "merge tmp keys");
+  auto tmp_idx = ctx.shared<std::uint32_t>(cap, "merge tmp idx");
+  load_list(ctx, part_val, part_idx, src_base, acc_keys, acc_idx, cap);
+  for (std::size_t b = 1; b < lists; ++b) {
+    load_list(ctx, part_val, part_idx, src_base + b * cap, tmp_keys, tmp_idx,
+              cap);
+    merge_prune(ctx, acc_keys, acc_idx, tmp_keys, tmp_idx);
+  }
+  store_list(ctx, acc_keys, acc_idx, out_vals, out_idx, out_base, count);
+}
 
 /// Faiss-style thread-queue length for a given K (NumThreadQ in Faiss).
 inline std::size_t thread_queue_len(std::size_t k) {

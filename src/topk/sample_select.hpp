@@ -332,6 +332,11 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
       ws.host_ptr<std::uint32_t>(plan.seg_host_hist),
       static_cast<std::size_t>(nb));
   T* const host_sample = ws.host_ptr<T>(plan.seg_host_sample);
+  const auto throw_nan_row = [] {
+    throw std::invalid_argument(
+        "SampleSelect: keys must not be NaN (the splitter search cannot "
+        "place NaN); use another algorithm for such rows");
+  };
   const std::span<T> splitters(ws.host_ptr<T>(plan.seg_host_split),
                                static_cast<std::size_t>(nb - 1));
 
@@ -420,6 +425,11 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
       dev.copy_to_host(sample_buf.subspan(0, s), sample, "sample");
       dev.host_compute("sort_sample",
                        static_cast<std::uint64_t>(s) * 10);
+      // Checked before the sort: NaN breaks std::sort's strict weak order.
+      if (std::any_of(sample.begin(), sample.end(),
+                      [](T v) { return v != v; })) {
+        throw_nan_row();
+      }
       std::sort(sample.begin(), sample.end());
 
       for (int i = 1; i < nb; ++i) {
@@ -481,6 +491,9 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
           for (std::size_t i = begin; i < end; ++i) {
             const T v =
                 from_input ? ctx.load(in, prob * n + i) : ctx.load(src_val, i);
+            // A NaN key lands in no class, so the histogram total falls short
+            // of the candidate count and the host rejects the row.
+            if (v != v) continue;
             ++shist[classify(ctx, v)];
           }
           ctx.ops(10 * (end - begin));  // ~log2(255) compares per element
@@ -498,6 +511,11 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
                        "class histogram");
       dev.host_compute("scan+find_bkt",
                        static_cast<std::uint64_t>(3 * classes));
+      std::uint64_t classified = 0;
+      for (int d = 0; d < classes; ++d) {
+        classified += host_hist[static_cast<std::size_t>(d)];
+      }
+      if (classified != count) throw_nan_row();
       std::uint64_t less = 0;
       std::uint32_t target = 0;
       std::uint64_t target_count = 0;

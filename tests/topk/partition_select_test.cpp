@@ -1,3 +1,4 @@
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -102,6 +103,49 @@ TEST(BucketSelect, RejectsInfiniteKeysInBothOrders) {
         EXPECT_NE(std::string(e.what()).find("BucketSelect"),
                   std::string::npos)
             << e.what();
+      }
+    }
+  }
+}
+
+TEST(PartitionSelect, NanKeysAreRejectedOrOrderedInBothOrders) {
+  // Quiet NaNs of either sign among finite keys: BucketSelect's min/max
+  // interpolation and SampleSelect's splitter search cannot place NaN, so
+  // each row must either return a verified answer or reject the input
+  // naming itself — never select NaN as the smallest key.
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  const auto base = data::uniform_values(4096, 41);
+  auto pos_nan = base;
+  auto neg_nan = base;
+  for (std::size_t i = 0; i < 5; ++i) {
+    pos_nan[i * 800 + 3] = kNan;
+    neg_nan[i * 800 + 5] = std::copysign(kNan, -1.0f);
+  }
+  for (const Algo algo : {Algo::kBucketSelect, Algo::kSampleSelect}) {
+    for (const std::vector<float>* values : {&pos_nan, &neg_nan}) {
+      for (const bool greatest : {false, true}) {
+        simgpu::Device dev;
+        SelectOptions opt;
+        opt.greatest = greatest;
+        const std::string what = std::string(algo_name(algo)) +
+                                 (values == &pos_nan ? " +NaN" : " -NaN") +
+                                 " greatest=" + std::to_string(greatest);
+        try {
+          const SelectResult r = select(dev, *values, 32, algo, opt);
+          std::vector<float> keys = *values;
+          if (greatest) {
+            for (float& v : keys) v = -v;
+          }
+          SelectResult rk = r;
+          if (greatest) {
+            for (float& v : rk.values) v = -v;
+          }
+          EXPECT_EQ(verify_topk(keys, 32, rk), "") << what;
+        } catch (const std::invalid_argument& e) {
+          EXPECT_NE(std::string(e.what()).find(algo_name(algo)),
+                    std::string::npos)
+              << what << ": " << e.what();
+        }
       }
     }
   }

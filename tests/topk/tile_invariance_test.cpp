@@ -25,6 +25,8 @@
 #include "core/topk.hpp"
 #include "data/distributions.hpp"
 #include "simgpu/simgpu.hpp"
+#include "topk/fused_rowwise.hpp"
+#include "topk/grid_select.hpp"
 #include "topk/key_codec.hpp"
 
 namespace topk {
@@ -209,13 +211,14 @@ std::vector<InvarianceCase> cases() {
   // tile helpers).  The warp-queue family — GridSelect in both queue
   // flavours, WarpSelect, BlockSelect, both fused row-wise variants, and the
   // bucketed approximate tier (exact at the default recall_target = 1.0) —
-  // additionally exercises the threshold-gated warp fast path.
+  // additionally exercises the threshold-gated warp fast path; the shard
+  // merge rides the shared list loader, partial-list merge and packed sort.
   const Algo algos[] = {Algo::kAirTopk,          Algo::kSort,
                         Algo::kRadixSelect,      Algo::kGridSelect,
                         Algo::kAirTopkFusedFilter, Algo::kWarpSelect,
                         Algo::kBlockSelect,      Algo::kGridSelectThreadQueue,
                         Algo::kFusedWarpRowwise, Algo::kFusedBlockRowwise,
-                        Algo::kBucketApprox};
+                        Algo::kBucketApprox,     Algo::kShardMerge};
   std::vector<InvarianceCase> cases;
   for (Algo algo : algos) {
     cases.push_back({algo, 1, 999, 1});          // sub-tile problem
@@ -228,6 +231,139 @@ std::vector<InvarianceCase> cases() {
 
 INSTANTIATE_TEST_SUITE_P(Matrix, TileInvariance, ::testing::ValuesIn(cases()),
                          case_name);
+
+// ---- external ids (in_idx) across the same mode grid ----------------------
+// GridSelect and both fused row-wise rows take optional input ids, which the
+// select_batch entry points never pass.  Driven through plan/run directly,
+// every scan and merge leg must report the caller's ids (here the reversed
+// row position plus an offset) with counters, modeled time and selected
+// values bit-identical across {tile x warpfast x simcheck}.
+
+enum class IdRow { kGrid, kFusedWarp, kFusedBlock };
+
+struct IdCase {
+  IdRow row;
+  std::size_t batch;
+  std::size_t n;
+  std::size_t k;
+};
+
+constexpr std::uint32_t kIdBase = 1u << 24;
+
+RunTrace run_with_ids(const IdCase& c, std::span<const float> data, bool tile,
+                      bool warpfast, bool simcheck) {
+  simgpu::set_tile_path_enabled(tile);
+  simgpu::set_warpfast_path_enabled(warpfast);
+  simgpu::Device dev;
+  if (simcheck) dev.enable_sanitizer();
+  simgpu::ScopedWorkspace arena(dev);
+  const std::size_t total = c.batch * c.n;
+  auto in = dev.alloc<float>(total, "in");
+  dev.upload(in, data);
+  std::vector<std::uint32_t> host_ids(total);
+  for (std::size_t i = 0; i < total; ++i) {
+    host_ids[i] = kIdBase + static_cast<std::uint32_t>(c.n - 1 - i % c.n);
+  }
+  auto ids = dev.alloc<std::uint32_t>(total, "in_idx");
+  dev.upload(ids, std::span<const std::uint32_t>(host_ids));
+  auto ov = dev.alloc<float>(c.batch * c.k, "out_vals");
+  auto oi = dev.alloc<std::uint32_t>(c.batch * c.k, "out_idx");
+  const Shape s{c.batch, c.n, c.k, false};
+  simgpu::WorkspaceLayout layout;
+  simgpu::Workspace work(dev);
+  if (c.row == IdRow::kGrid) {
+    GridSelectOptions opt;
+    opt.in_idx = ids;
+    const auto plan = grid_select_plan<float>(s, dev.spec(), opt, layout);
+    work.bind(layout);
+    grid_select_run(dev, plan, work, in, ov, oi);
+  } else {
+    FusedRowwiseOptions opt;
+    opt.in_idx = ids;
+    const auto plan = fused_rowwise_plan<float>(
+        s, dev.spec(), opt, c.row == IdRow::kFusedBlock, layout);
+    work.bind(layout);
+    fused_rowwise_run(dev, plan, work, in, ov, oi);
+  }
+
+  RunTrace t;
+  for (const auto& e : dev.events()) {
+    if (const auto* ke = std::get_if<simgpu::KernelEvent>(&e)) {
+      t.kernels.push_back(ke->stats);
+    }
+  }
+  t.model_us = simgpu::CostModel(dev.spec()).total_us(dev.events());
+  for (std::size_t b = 0; b < c.batch; ++b) {
+    SelectResult r;
+    for (std::size_t i = 0; i < c.k; ++i) {
+      const std::uint32_t id = oi.data()[b * c.k + i];
+      if (id < kIdBase || id - kIdBase >= c.n) {
+        ADD_FAILURE() << "result index " << id << " is not an external id";
+        return t;
+      }
+      r.values.push_back(ov.data()[b * c.k + i]);
+      r.indices.push_back(static_cast<std::uint32_t>(c.n - 1 - (id - kIdBase)));
+    }
+    const std::string err = verify_topk(data.subspan(b * c.n, c.n), c.k, r);
+    EXPECT_TRUE(err.empty()) << "tile=" << tile << " warpfast=" << warpfast
+                             << " simcheck=" << simcheck << " problem " << b
+                             << ": " << err;
+    std::sort(r.values.begin(), r.values.end());
+    t.sorted_values.push_back(std::move(r.values));
+  }
+  if (simcheck) {
+    const auto rep = dev.sanitizer()->snapshot();
+    t.sanitizer_clean = rep.clean();
+    t.sanitizer_report = rep.to_string();
+  }
+  return t;
+}
+
+std::string id_case_name(const ::testing::TestParamInfo<IdCase>& info) {
+  const char* row = info.param.row == IdRow::kGrid        ? "grid"
+                    : info.param.row == IdRow::kFusedWarp ? "fused_warp"
+                                                          : "fused_block";
+  return std::string(row) + "_b" + std::to_string(info.param.batch) + "_n" +
+         std::to_string(info.param.n) + "_k" + std::to_string(info.param.k);
+}
+
+class ExternalIdInvariance : public ::testing::TestWithParam<IdCase> {};
+
+TEST_P(ExternalIdInvariance, IdsAndStatsBitIdenticalAcrossModes) {
+  const IdCase c = GetParam();
+  TileGuard guard;
+  std::uint64_t seed = 91;
+  for (const auto& spec : standard_distributions()) {
+    const auto values = data::generate(spec, c.batch * c.n, seed++);
+    const std::string what =
+        id_case_name(::testing::TestParamInfo<IdCase>(c, 0)) + " on " +
+        spec.name();
+    const RunTrace scalar = run_with_ids(c, values, false, false, false);
+    ASSERT_FALSE(scalar.kernels.empty()) << what;
+    const RunTrace tile = run_with_ids(c, values, true, false, false);
+    const RunTrace wf = run_with_ids(c, values, true, true, false);
+    const RunTrace wf_checked = run_with_ids(c, values, true, true, true);
+    expect_identical_stats(scalar, tile, what + " [tile vs scalar]");
+    expect_identical_stats(scalar, wf, what + " [tile+warpfast vs scalar]");
+    expect_identical_stats(scalar, wf_checked,
+                           what + " [tile+warpfast+simcheck vs scalar]");
+    EXPECT_TRUE(wf_checked.sanitizer_clean)
+        << what << " raised issues:\n" << wf_checked.sanitizer_report;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rows, ExternalIdInvariance,
+    ::testing::Values(
+        // single block per problem (direct output) and a multi-block
+        // problem (published partial lists + the cross-block merge)
+        IdCase{IdRow::kGrid, 3, 10007, 100}, IdCase{IdRow::kGrid, 1, 70001, 517},
+        // nine rows: a full 8-row block plus a one-row tail block
+        IdCase{IdRow::kFusedWarp, 9, 4099, 64},
+        IdCase{IdRow::kFusedWarp, 2, 10007, 517},
+        IdCase{IdRow::kFusedBlock, 3, 10007, 100},
+        IdCase{IdRow::kFusedBlock, 1, 70001, 517}),
+    id_case_name);
 
 // ---- typed keys across the same mode grid ---------------------------------
 // The dtype layer must be invisible to the counter stream too: a typed
