@@ -23,7 +23,10 @@
 // instead of the exactness verifier.  `--explain` prints the recommender's
 // race — each candidate row's predicted µs on the device, the winner marked
 // (and, with a sub-1.0 SLO, the approximate tier's chunk shape and analytic
-// expected recall) — before running.
+// expected recall) — before running.  GridSelect's line names the launch
+// geometry its plan chose (blocks x warps per row, and whether the blocks
+// write the output directly or feed the merge kernel) next to the predicted
+// µs of the reference shape it was priced against.
 //
 // `--dtype {f32,f16,bf16,i32,u32}` runs the query with typed keys (the
 // generated floats are converted; i32/u32 scale them into the integer
@@ -49,6 +52,7 @@
 #include "simgpu/simgpu.hpp"
 #include "simgpu/timeline.hpp"
 #include "topk/bucket_approx.hpp"
+#include "topk/grid_select.hpp"
 #include "topk/key_codec.hpp"
 
 namespace {
@@ -233,6 +237,19 @@ int main(int argc, char** argv) {
             topk::bucket_approx_configure(n, k, batch, bopt, dev.spec());
         std::cout << "  (chunks=" << shape.chunks << " keep=" << shape.keep
                   << " expected recall=" << shape.expected_recall << ")";
+      }
+      if (r.algo == topk::Algo::kGridSelect) {
+        // Every key type runs GridSelect on a 4-byte carrier.
+        const auto geo = topk::grid_select_geometry<float>(
+            topk::Shape{batch, n, k, false}, dev.spec(), {});
+        const auto describe = [](const topk::GridGeometry& g) {
+          return std::to_string(g.blocks_per_problem) + " x " +
+                 std::to_string(g.warps) + " warps per row" +
+                 (g.direct_output() ? ", direct output" : " + merge kernel");
+        };
+        std::cout << "  (" << describe(geo.chosen) << "; reference "
+                  << describe(geo.reference) << ": "
+                  << geo.reference.predicted_us << " us)";
       }
       std::cout << "\n";
     }

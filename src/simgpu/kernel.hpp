@@ -640,6 +640,23 @@ class BlockCtx {
   [[nodiscard]] const BlockCounters& counters() const { return counters_; }
   [[nodiscard]] BlockCounters& counters() { return counters_; }
 
+  /// Mark the start of this block's election epilogue: the work only the
+  /// block that wins a last-block election does (e.g. a prefix scan over
+  /// its problem's histogram).  Charges after the mark count in the kernel
+  /// totals like any other, but the launch's per-block maxima take the
+  /// heaviest block's charges before any mark plus the heaviest epilogue.
+  /// The elected block is the last to arrive — on the device, the slowest —
+  /// so this is the straggler the election makes, and it does not depend on
+  /// which emulated block happened to arrive last.
+  void begin_epilogue() {
+    epilogue_mark_ = counters_;
+    has_epilogue_ = true;
+  }
+  /// The block's charges up to begin_epilogue(), or nullptr without a mark.
+  [[nodiscard]] const BlockCounters* epilogue_mark() const {
+    return has_epilogue_ ? &epilogue_mark_ : nullptr;
+  }
+
  private:
   template <typename>
   friend class SharedRef;
@@ -696,6 +713,8 @@ class BlockCtx {
   std::size_t shared_capacity_;
   std::size_t shared_offset_ = 0;
   BlockCounters counters_;
+  BlockCounters epilogue_mark_;
+  bool has_epilogue_ = false;
   Sanitizer* san_ = nullptr;
   std::string_view kernel_name_;
   std::uint32_t launch_id_ = 0;
@@ -814,6 +833,7 @@ KernelStats launch(Device& dev, const LaunchConfig& cfg, Body&& body) {
   std::atomic<std::uint64_t> bytes_read{0}, bytes_written{0}, lane_ops{0},
       atomic_ops{0}, scattered_atomic_ops{0}, block_syncs{0};
   std::atomic<std::uint64_t> max_block_bytes{0}, max_block_lane_ops{0};
+  std::atomic<std::uint64_t> max_epilogue_bytes{0}, max_epilogue_lane_ops{0};
   const auto fetch_max = [](std::atomic<std::uint64_t>& target,
                             std::uint64_t v) {
     std::uint64_t cur = target.load(std::memory_order_relaxed);
@@ -840,8 +860,16 @@ KernelStats launch(Device& dev, const LaunchConfig& cfg, Body&& body) {
         scattered_atomic_ops.fetch_add(c.scattered_atomic_ops,
                                        std::memory_order_relaxed);
         block_syncs.fetch_add(c.block_syncs, std::memory_order_relaxed);
-        fetch_max(max_block_bytes, c.bytes_read + c.bytes_written);
-        fetch_max(max_block_lane_ops, c.lane_ops);
+        const BlockCounters* mark = ctx.epilogue_mark();
+        const BlockCounters& own = mark != nullptr ? *mark : c;
+        fetch_max(max_block_bytes, own.bytes_read + own.bytes_written);
+        fetch_max(max_block_lane_ops, own.lane_ops);
+        if (mark != nullptr) {
+          fetch_max(max_epilogue_bytes, c.bytes_read + c.bytes_written -
+                                            own.bytes_read -
+                                            own.bytes_written);
+          fetch_max(max_epilogue_lane_ops, c.lane_ops - own.lane_ops);
+        }
       });
 
   KernelStats stats;
@@ -854,8 +882,9 @@ KernelStats launch(Device& dev, const LaunchConfig& cfg, Body&& body) {
   stats.atomic_ops = atomic_ops.load();
   stats.scattered_atomic_ops = scattered_atomic_ops.load();
   stats.block_syncs = block_syncs.load();
-  stats.max_block_bytes = max_block_bytes.load();
-  stats.max_block_lane_ops = max_block_lane_ops.load();
+  stats.max_block_bytes = max_block_bytes.load() + max_epilogue_bytes.load();
+  stats.max_block_lane_ops =
+      max_block_lane_ops.load() + max_epilogue_lane_ops.load();
   // Contract cross-check (debug builds / TOPK_FOOTPRINT_CHECK=1): the
   // observed counters must be explainable by the kernel's registered
   // footprint.  Strictly read-only over the already-assembled stats, so

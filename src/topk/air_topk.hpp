@@ -1,10 +1,12 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "simgpu/simd.hpp"
@@ -81,6 +83,41 @@ inline std::vector<PassPlan> plan_passes(int total_bits, int digit_bits) {
     plan.push_back({total_bits - covered, width});
   }
   return plan;
+}
+
+/// Put each problem's freshly appended candidates in index order (ties
+/// between equal indices, possible with caller-supplied ids, by key).  The
+/// appends reserve buffer slots with warp-aggregated atomics, so the slot
+/// order follows block arrival; the next pass splits the buffer into
+/// per-block chunks, so its per-block charges — flush counts, emitted bytes,
+/// the straggler maxima — would follow the arrival order too.  This host-side
+/// step (no device traffic, no modeled charge) gives every run the stable
+/// compaction a single-threaded emulation writes: blocks in index order, each
+/// in scan order, which over input positions is index order.
+template <typename T>
+void order_candidates(simgpu::DeviceBuffer<T> vals,
+                      simgpu::DeviceBuffer<std::uint32_t> idx,
+                      simgpu::DeviceBuffer<std::uint64_t> st, Field count,
+                      std::size_t batch, std::size_t bufcap) {
+  using Traits = RadixTraits<T>;
+  simgpu::ScratchVec<std::pair<std::uint32_t, T>> pairs;
+  for (std::size_t prob = 0; prob < batch; ++prob) {
+    const auto c = static_cast<std::size_t>(std::min<std::uint64_t>(
+        st.data()[prob * kNumFields + count], bufcap));
+    T* v = vals.data() + prob * bufcap;
+    std::uint32_t* i = idx.data() + prob * bufcap;
+    pairs.resize(c);
+    for (std::size_t j = 0; j < c; ++j) pairs[j] = {i[j], v[j]};
+    std::sort(pairs.begin(), pairs.end(), [](const auto& a, const auto& b) {
+      return a.first != b.first
+                 ? a.first < b.first
+                 : Traits::to_radix(a.second) < Traits::to_radix(b.second);
+    });
+    for (std::size_t j = 0; j < c; ++j) {
+      i[j] = pairs[j].first;
+      v[j] = pairs[j].second;
+    }
+  }
 }
 
 }  // namespace air_detail
@@ -766,6 +803,7 @@ void air_topk_run(simgpu::Device& dev, const AirTopkPlan<T>& plan,
       if (finished != static_cast<std::uint32_t>(bpp - 1)) return;
 
       // ---- last thread block of this problem ----
+      ctx.begin_epilogue();
       if (copy_mode) {
         ctx.store<std::uint64_t>(st, sidx(prob, kCopied), 1);
         return;
@@ -832,6 +870,10 @@ void air_topk_run(simgpu::Device& dev, const AirTopkPlan<T>& plan,
         out_app.flush(ctx);
       }
     });
+    if (p >= 1 && !is_last_filter) {
+      order_candidates(buf_out_val, buf_out_idx, st, buf_out_count, batch,
+                       bufcap);
+    }
   }
 }
 

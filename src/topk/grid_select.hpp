@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -21,6 +23,8 @@ namespace topk {
 
 /// Options for GridSelect (paper §4).
 struct GridSelectOptions {
+  /// The reference launch shape (warps per block over items_per_block-key
+  /// chunks) that grid_select_geometry prices the other candidates against.
   int warps_per_block = 8;
   std::size_t items_per_block = 16 * 1024;
   /// false reproduces the Fig. 11 ablation: per-thread register queues
@@ -379,9 +383,157 @@ inline void register_grid_select_footprints() {
        }});
 }
 
-/// Phase 1 of GridSelect: validate, size the block to the device's shared
-/// memory and lay out the partial-list segments (none when a single block
-/// per problem writes the final results directly).
+/// One GridSelect launch geometry: warps per block and blocks per problem,
+/// with the modeled µs of its expected charges.
+struct GridGeometry {
+  int warps = 0;
+  int blocks_per_problem = 0;
+  double predicted_us = 0.0;
+  /// A problem's only block writes the final results itself; with more
+  /// blocks the GridSelect_merge kernel reduces their partial lists.
+  [[nodiscard]] bool direct_output() const { return blocks_per_problem == 1; }
+};
+
+/// The geometry grid_select_plan launches, and the reference shape
+/// (GridSelectOptions' warps and items per block through make_grid) it was
+/// priced against.
+struct GridGeometryChoice {
+  GridGeometry chosen;
+  GridGeometry reference;
+};
+
+/// Expected charges of GridSelect's partial and merge launches at one
+/// geometry: every warp scans an interleaved 1/warps of its block's chunk,
+/// the block merges its warp lists and publishes one sorted list (the final
+/// results when it is the problem's only block); the merge kernel prunes bpp
+/// lists per problem.
+template <typename T>
+std::pair<simgpu::KernelStats, simgpu::KernelStats> grid_select_expected(
+    const Shape& s, bool shared_queue, std::size_t bpp, std::size_t warps) {
+  const std::size_t cap = next_pow2(s.k);
+  const bool direct = bpp == 1;
+  const double chunk =
+      std::ceil(static_cast<double>(s.n) / static_cast<double>(bpp));
+  const auto warp_elems = static_cast<std::size_t>(
+      std::ceil(chunk / static_cast<double>(warps)));
+  const double warp_ops = shared_queue
+                              ? expected_shared_queue_ops(warp_elems, s.k)
+                              : expected_thread_queue_ops(warp_elems, s.k);
+  const double block_ops = static_cast<double>(warps) * warp_ops +
+                           static_cast<double>((warps - 1) *
+                                               merge_prune_ops(cap));
+  const double pair = sizeof(T) + sizeof(std::uint32_t);
+  const double block_out = pair * static_cast<double>(direct ? s.k : cap);
+  const double blocks = static_cast<double>(s.batch * bpp);
+  const simgpu::KernelStats partial = expected_stats(
+      static_cast<double>(s.batch * s.n * sizeof(T)), blocks * block_out,
+      blocks * block_ops, chunk * sizeof(T) + block_out, block_ops);
+  const double lists = pair * static_cast<double>(bpp * cap);
+  const double merge_ops =
+      static_cast<double>((bpp - 1) * merge_prune_ops(cap));
+  const double out = pair * static_cast<double>(s.k);
+  const double rows = static_cast<double>(s.batch);
+  const simgpu::KernelStats merge = expected_stats(
+      rows * lists, rows * out, rows * merge_ops, lists + out, merge_ops);
+  return {partial, merge};
+}
+
+/// Choose GridSelect's launch geometry by pricing a few candidates with
+/// CostModel::expected_us and keeping the cheapest (the first on a tie):
+///  - the reference shape, GridSelectOptions' warps per block (halved until
+///    the per-warp queue + list state fits shared memory) over make_grid's
+///    items_per_block chunks;
+///  - one block per problem with ceil(W_sat / batch) warps, which writes the
+///    output directly and launches no merge kernel;
+///  - splits at 8, 16 and 32 warps per block with enough blocks to cover
+///    W_sat = sm_count * saturating_warps_per_sm resident warps.
+/// Every candidate fits shared memory and keeps the per-warp floor: no warp
+/// scans fewer keys than a warp of the reference shape.  Priced candidates
+/// would otherwise spread small rows over hundreds of warps that each redo
+/// the O(k) list work, which the model prices below the reference but the
+/// emulator pays for in wall time.  Only expected charges are built per
+/// candidate, no workspace layout.
+template <typename T>
+GridGeometryChoice grid_select_geometry(const Shape& s,
+                                        const simgpu::DeviceSpec& spec,
+                                        const GridSelectOptions& opt) {
+  const std::size_t per_warp_shared = (simgpu::kWarpSize + next_pow2(s.k)) *
+                                      (sizeof(T) + sizeof(std::uint32_t));
+  const int max_warps = static_cast<int>(
+      std::min<std::size_t>(simgpu::kMaxWarpsPerBlock,
+                            spec.shared_mem_per_block / per_warp_shared));
+  if (max_warps < 1) {
+    throw std::invalid_argument(
+        "grid_select: k too large for this device's shared memory");
+  }
+  if (opt.warps_per_block < 1) {
+    throw std::invalid_argument("grid_select: warps_per_block must be >= 1");
+  }
+  int ref_warps = std::min(opt.warps_per_block, simgpu::kMaxWarpsPerBlock);
+  while (ref_warps > max_warps) ref_warps /= 2;
+  const int ref_bpp = make_grid(s.batch, s.n, spec,
+                                ref_warps * simgpu::kWarpSize,
+                                opt.items_per_block)
+                          .blocks_per_problem;
+  const auto warp_keys = [&](int bpp, int warps) {
+    return (s.n + static_cast<std::size_t>(bpp) * warps - 1) /
+           (static_cast<std::size_t>(bpp) * warps);
+  };
+  const std::size_t floor_keys = warp_keys(ref_bpp, ref_warps);
+
+  const simgpu::CostModel model(spec);
+  const auto price = [&](int bpp, int warps) {
+    const auto [partial, merge] = grid_select_expected<T>(
+        s, opt.shared_queue, static_cast<std::size_t>(bpp),
+        static_cast<std::size_t>(warps));
+    simgpu::KernelSchedule sched;
+    sched.priced = true;
+    sched.add_launch("GridSelect_partial", static_cast<int>(s.batch) * bpp,
+                     warps * simgpu::kWarpSize, s.batch, s.n, s.k, {},
+                     partial);
+    if (bpp > 1) {
+      sched.add_launch("GridSelect_merge", static_cast<int>(s.batch), 1024,
+                       s.batch, s.n, s.k, {}, merge);
+    }
+    return GridGeometry{warps, bpp, model.expected_us(sched)};
+  };
+
+  GridGeometryChoice race;
+  race.reference = price(ref_bpp, ref_warps);
+  race.chosen = race.reference;
+  std::array<std::pair<int, int>, 5> tried{{{ref_bpp, ref_warps}}};
+  std::size_t num_tried = 1;
+  const auto consider = [&](int bpp, int warps) {
+    if (warps < 1 || warps > max_warps) return;
+    while (bpp > 1 && warp_keys(bpp, warps) < floor_keys) --bpp;
+    if (warp_keys(bpp, warps) < floor_keys) return;
+    const std::pair<int, int> g{bpp, warps};
+    const auto seen = tried.begin() + static_cast<std::ptrdiff_t>(num_tried);
+    if (std::find(tried.begin(), seen, g) != seen) return;
+    tried[num_tried++] = g;
+    const GridGeometry cand = price(bpp, warps);
+    if (cand.predicted_us < race.chosen.predicted_us) race.chosen = cand;
+  };
+  const auto ceil_div = [](std::size_t a, std::size_t b) {
+    return static_cast<int>((a + b - 1) / b);
+  };
+  const auto w_sat = static_cast<std::size_t>(spec.sm_count) *
+                     static_cast<std::size_t>(spec.saturating_warps_per_sm);
+  int one_block_warps = std::min(ceil_div(w_sat, s.batch), max_warps);
+  while (one_block_warps > 1 && warp_keys(1, one_block_warps) < floor_keys) {
+    --one_block_warps;
+  }
+  consider(1, one_block_warps);
+  for (const int warps : {8, 16, 32}) {
+    consider(ceil_div(w_sat, s.batch * static_cast<std::size_t>(warps)),
+             warps);
+  }
+  return race;
+}
+
+/// Phase 1 of GridSelect: validate, choose the launch geometry
+/// (grid_select_geometry) and lay out the partial-list segments (none when
+/// a single block per problem writes the final results directly).
 template <typename T>
 GridSelectPlan<T> grid_select_plan(const Shape& s,
                                    const simgpu::DeviceSpec& spec,
@@ -403,70 +555,29 @@ GridSelectPlan<T> grid_select_plan(const Shape& s,
   p.n = s.n;
   p.k = s.k;
   p.cap = next_pow2(s.k);
-  // Shrink the block until the per-warp queue + list state fits the
-  // device's shared memory (large K on small-shared-memory devices like
-  // the A10 runs with fewer warps per block).
-  p.num_warps = std::min(opt.warps_per_block, simgpu::kMaxWarpsPerBlock);
-  const std::size_t per_warp_shared =
-      (simgpu::kWarpSize + p.cap) * (sizeof(T) + sizeof(std::uint32_t));
-  while (p.num_warps > 1 && static_cast<std::size_t>(p.num_warps) *
-                                    per_warp_shared >
-                                spec.shared_mem_per_block) {
-    p.num_warps /= 2;
-  }
-  if (static_cast<std::size_t>(p.num_warps) * per_warp_shared >
-      spec.shared_mem_per_block) {
-    throw std::invalid_argument(
-        "grid_select: k too large for this device's shared memory");
-  }
-  p.shape = make_grid(s.batch, s.n, spec, p.num_warps * simgpu::kWarpSize,
-                      opt.items_per_block);
+  const GridGeometry geo = grid_select_geometry<T>(s, spec, opt).chosen;
+  p.num_warps = geo.warps;
+  p.shape.batch = s.batch;
+  p.shape.block_threads = geo.warps * simgpu::kWarpSize;
+  p.shape.blocks_per_problem = geo.blocks_per_problem;
   // With a single block per problem no cross-block merge is needed: the
   // partial kernel writes the final results directly (this is the regime
   // where GridSelect degenerates to a BlockSelect-shaped launch).
-  p.direct_output = (p.shape.blocks_per_problem == 1);
+  p.direct_output = geo.direct_output();
+  const auto bpp = static_cast<std::size_t>(geo.blocks_per_problem);
   if (!p.direct_output) {
-    const std::size_t bpp =
-        static_cast<std::size_t>(p.shape.blocks_per_problem);
     p.seg_part_val =
         layout.add<T>("gridselect partial vals", s.batch * bpp * p.cap);
     p.seg_part_idx = layout.add<std::uint32_t>("gridselect partial idx",
                                                s.batch * bpp * p.cap);
   }
   register_grid_select_footprints();
-  // Expected charges: every warp scans an interleaved 1/num_warps of its
-  // block's chunk, the block merges its warp lists and publishes one sorted
-  // list; the merge kernel prunes bpp lists per problem.
   simgpu::KernelStats partial_cost;
   simgpu::KernelStats merge_cost;
   if (sched != nullptr) {
-    const auto bpp = static_cast<std::size_t>(p.shape.blocks_per_problem);
-    const auto warps = static_cast<std::size_t>(p.num_warps);
-    const double chunk = std::ceil(static_cast<double>(s.n) /
-                                   static_cast<double>(bpp));
-    const auto warp_elems = static_cast<std::size_t>(
-        std::ceil(chunk / static_cast<double>(warps)));
-    const double warp_ops =
-        opt.shared_queue ? expected_shared_queue_ops(warp_elems, s.k)
-                         : expected_thread_queue_ops(warp_elems, s.k);
-    const double block_ops =
-        static_cast<double>(warps) * warp_ops +
-        static_cast<double>((warps - 1) * merge_prune_ops(p.cap));
-    const double pair = sizeof(T) + sizeof(std::uint32_t);
-    const double block_out =
-        pair * static_cast<double>(p.direct_output ? s.k : p.cap);
-    const double blocks = static_cast<double>(s.batch * bpp);
     sched->priced = true;
-    partial_cost = expected_stats(
-        static_cast<double>(s.batch * s.n * sizeof(T)), blocks * block_out,
-        blocks * block_ops, chunk * sizeof(T) + block_out, block_ops);
-    const double lists = pair * static_cast<double>(bpp * p.cap);
-    const double merge_ops =
-        static_cast<double>((bpp - 1) * merge_prune_ops(p.cap));
-    const double out = pair * static_cast<double>(s.k);
-    merge_cost = expected_stats(
-        static_cast<double>(s.batch) * lists, static_cast<double>(s.batch) * out,
-        static_cast<double>(s.batch) * merge_ops, lists + out, merge_ops);
+    std::tie(partial_cost, merge_cost) = grid_select_expected<T>(
+        s, opt.shared_queue, bpp, static_cast<std::size_t>(geo.warps));
   }
   {
     std::vector<simgpu::OperandBind> binds = {{"in", simgpu::kBindInput}};

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <string>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -276,6 +278,48 @@ TEST(AirTopk, WorksWithUnsignedKeys) {
   EXPECT_EQ(got, want);
   for (std::size_t i = 0; i < k; ++i) {
     EXPECT_EQ(keys[out_i.data()[i]], out_v.data()[i]);
+  }
+}
+
+TEST(AirTopk, KernelStatsIndependentOfBlockSchedule) {
+  // The last block of each problem to finish a pass scans the histogram; at
+  // the default worker count which block that is varies run to run, and
+  // the per-block maxima (hence the modeled time) must not follow it.
+  const std::size_t n = std::size_t{1} << 20;
+  for (const data::Distribution dist :
+       {data::Distribution::kUniform, data::Distribution::kNormal}) {
+    const auto values = data::generate({dist, 0}, n, 2048);
+    std::vector<simgpu::KernelStats> first;
+    for (int run = 0; run < 10; ++run) {
+      simgpu::Device dev;
+      (void)select(dev, values, 2048, Algo::kAirTopk);
+      std::vector<simgpu::KernelStats> kernels;
+      for (const auto& e : dev.events()) {
+        if (const auto* ke = std::get_if<simgpu::KernelEvent>(&e)) {
+          kernels.push_back(ke->stats);
+        }
+      }
+      if (run == 0) {
+        first = kernels;
+        continue;
+      }
+      ASSERT_EQ(kernels.size(), first.size());
+      for (std::size_t i = 0; i < kernels.size(); ++i) {
+        const simgpu::KernelStats& a = first[i];
+        const simgpu::KernelStats& b = kernels[i];
+        const std::string at = "run " + std::to_string(run) + " kernel " +
+                               std::string(a.name);
+        EXPECT_EQ(a.name, b.name) << at;
+        EXPECT_EQ(a.bytes_read, b.bytes_read) << at;
+        EXPECT_EQ(a.bytes_written, b.bytes_written) << at;
+        EXPECT_EQ(a.lane_ops, b.lane_ops) << at;
+        EXPECT_EQ(a.atomic_ops, b.atomic_ops) << at;
+        EXPECT_EQ(a.scattered_atomic_ops, b.scattered_atomic_ops) << at;
+        EXPECT_EQ(a.block_syncs, b.block_syncs) << at;
+        EXPECT_EQ(a.max_block_bytes, b.max_block_bytes) << at;
+        EXPECT_EQ(a.max_block_lane_ops, b.max_block_lane_ops) << at;
+      }
+    }
   }
 }
 

@@ -1,6 +1,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <span>
+#include <string>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -310,20 +313,121 @@ TEST(BlockSelect, UsesFourWarps) {
 }
 
 TEST(GridSelect, UsesManyBlocksForLargeN) {
+  // A large problem is spread over the device: at least as many resident
+  // warps as the reference shape (64 blocks x 8 warps of 16K keys), however
+  // the priced geometry splits them into blocks.
   simgpu::Device dev;
   const auto values = data::uniform_values(1 << 20, 5);
   dev.clear_events();
   (void)select(dev, values, 32, Algo::kGridSelect);
-  int partial_blocks = 0;
+  int partial_warps = 0;
   for (const auto& e : dev.events()) {
     if (const auto* ke = std::get_if<simgpu::KernelEvent>(&e)) {
       if (ke->stats.name == "GridSelect_partial") {
-        partial_blocks = ke->stats.grid_blocks;
+        partial_warps = ke->stats.grid_blocks * ke->stats.warps_per_block();
       }
     }
   }
-  EXPECT_GT(partial_blocks, 16)
-      << "GridSelect must spread a large problem over many blocks";
+  EXPECT_GE(partial_warps, 512)
+      << "GridSelect must spread a large problem over the device";
+}
+
+/// GridSelect's plan on `spec` with its priced schedule (planned directly:
+/// 100 x 2^22 keys exceed one device's select capacity, which plan_select
+/// checks before any row plans).
+GridSelectPlan<float> plan_grid(const simgpu::DeviceSpec& spec, const Shape& s,
+                                simgpu::KernelSchedule& sched) {
+  simgpu::WorkspaceLayout layout;
+  return grid_select_plan<float>(s, spec, {}, layout, &sched);
+}
+
+/// The geometry grid the priced launch shape is checked over; `check` gets
+/// the spec, the shape and a label for failure messages.
+template <typename F>
+void for_each_geometry_shape(F&& check) {
+  for (const simgpu::DeviceSpec& spec :
+       {simgpu::DeviceSpec::a100(), simgpu::DeviceSpec::h100(),
+        simgpu::DeviceSpec::a10()}) {
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{100}}) {
+      for (const int log_n : {12, 16, 20, 22}) {
+        for (const std::size_t k : {16, 256, 2048}) {
+          check(spec, Shape{batch, std::size_t{1} << log_n, k, false},
+                spec.name + " batch=" + std::to_string(batch) + " n=2^" +
+                    std::to_string(log_n) + " k=" + std::to_string(k));
+        }
+      }
+    }
+  }
+}
+
+TEST(GridSelect, ChosenGeometryNeverPricedAboveReferenceShape) {
+  for_each_geometry_shape([](const simgpu::DeviceSpec& spec, const Shape& s,
+                             const std::string& at) {
+    const GridGeometryChoice geo = grid_select_geometry<float>(s, spec, {});
+    simgpu::KernelSchedule sched;
+    (void)plan_grid(spec, s, sched);
+    const double predicted = simgpu::CostModel(spec).expected_us(sched);
+    EXPECT_LE(predicted, geo.reference.predicted_us) << at;
+    EXPECT_DOUBLE_EQ(predicted, geo.chosen.predicted_us) << at;
+  });
+}
+
+TEST(GridSelect, GeometryKeepsThePerWarpFloorAndFitsSharedMemory) {
+  for_each_geometry_shape([](const simgpu::DeviceSpec& spec, const Shape& s,
+                             const std::string& at) {
+    const GridGeometryChoice geo = grid_select_geometry<float>(s, spec, {});
+    const auto warp_keys = [&](const GridGeometry& g) {
+      const std::size_t warps =
+          static_cast<std::size_t>(g.blocks_per_problem) * g.warps;
+      return (s.n + warps - 1) / warps;
+    };
+    EXPECT_GE(warp_keys(geo.chosen), warp_keys(geo.reference)) << at;
+    EXPECT_LE(static_cast<std::size_t>(geo.chosen.warps) *
+                  (simgpu::kWarpSize + next_pow2(s.k)) * 8,
+              spec.shared_mem_per_block)
+        << at;
+    // The plan launches exactly the chosen geometry.
+    simgpu::KernelSchedule sched;
+    const GridSelectPlan<float> plan = plan_grid(spec, s, sched);
+    EXPECT_EQ(plan.direct_output, geo.chosen.direct_output()) << at;
+    EXPECT_EQ(sched.steps.size(), plan.direct_output ? 1u : 2u) << at;
+    const simgpu::KernelStep& partial = sched.steps.front();
+    EXPECT_EQ(partial.name, "GridSelect_partial") << at;
+    EXPECT_EQ(partial.grid,
+              static_cast<int>(s.batch) * geo.chosen.blocks_per_problem)
+        << at;
+    EXPECT_EQ(partial.block_threads, geo.chosen.warps * simgpu::kWarpSize)
+        << at;
+  });
+}
+
+TEST(GridSelect, OneBlockPerBatchedRowWritesOutputWithoutMergeKernel) {
+  // 100 x 2^16: one 9-warp block per row covers the device's 864
+  // saturating warps, so the partial kernel writes the results itself.
+  const std::size_t batch = 100;
+  const std::size_t n = std::size_t{1} << 16;
+  const auto values = data::uniform_values(batch * n, 41);
+  for (const std::size_t k : {32, 256}) {
+    simgpu::Device dev;
+    const auto results = select_batch(dev, values, batch, n, k,
+                                      Algo::kGridSelect);
+    for (std::size_t b = 0; b < batch; ++b) {
+      ASSERT_EQ(verify_topk(std::span<const float>(values).subspan(b * n, n),
+                            k, results[b]),
+                "")
+          << "k=" << k << " row " << b;
+    }
+    std::vector<simgpu::KernelStats> kernels;
+    for (const auto& e : dev.events()) {
+      if (const auto* ke = std::get_if<simgpu::KernelEvent>(&e)) {
+        kernels.push_back(ke->stats);
+      }
+    }
+    ASSERT_EQ(kernels.size(), 1u) << "k=" << k;
+    EXPECT_EQ(kernels[0].name, "GridSelect_partial") << "k=" << k;
+    EXPECT_EQ(kernels[0].grid_blocks, 100) << "k=" << k;
+    EXPECT_EQ(kernels[0].warps_per_block(), 9) << "k=" << k;
+  }
 }
 
 TEST(GridSelect, SharedQueueVariantDoesFewerMergeOpsOnSkewedData) {

@@ -358,6 +358,9 @@ INSTANTIATE_TEST_SUITE_P(
         // single block per problem (direct output) and a multi-block
         // problem (published partial lists + the cross-block merge)
         IdCase{IdRow::kGrid, 3, 10007, 100}, IdCase{IdRow::kGrid, 1, 70001, 517},
+        // the priced geometry's one 9-warp block per row (a warp count that
+        // is not a power of two) writing the output directly
+        IdCase{IdRow::kGrid, 100, 65536, 32},
         // nine rows: a full 8-row block plus a one-row tail block
         IdCase{IdRow::kFusedWarp, 9, 4099, 64},
         IdCase{IdRow::kFusedWarp, 2, 10007, 517},

@@ -14,7 +14,8 @@
 //   --all      audit every concrete kAlgoTable row (default when no --algo)
 //   --algo KEY audit one algorithm by registry key ("air", "radixselect", ...)
 //   --grid     sweep n = 2^10 .. 2^TOPK_MAX_LOG_N (env, default 18) and
-//              k in {1, 16, 256, 2048} (clamped per row), batch in {1, 4};
+//              k in {1, 16, 256, 2048} (clamped per row), batch in {1, 4},
+//              plus batch 100 at n=2^16, k in {32, 256};
 //              without it, one representative shape per algorithm.  Every
 //              shape is audited once per key dtype the row declares
 //              (f32/f16/bf16 and, for carrier-generic rows, i32/u32), and
@@ -98,6 +99,12 @@ std::vector<Config> build_grid(const topk::AlgoRow& row, bool grid,
         add(1, n, k);
         add(4, n, k);
       }
+    }
+    // A wide batch: GridSelect's priced geometry runs one block of
+    // ceil(W_sat / batch) warps per row there (9 on the A100, not a power
+    // of two) and writes the output without the merge kernel.
+    for (std::size_t k : {std::size_t{32}, std::size_t{256}}) {
+      add(100, std::size_t{1} << 16, k);
     }
   }
   if (row.streaming) {
